@@ -6,6 +6,8 @@
 #include "sim/csr.h"
 #include "util/log.h"
 
+#include <algorithm>
+
 namespace cheriot::fault
 {
 
@@ -249,24 +251,24 @@ FaultInjector::tick(uint64_t nowCycle)
     if (stalled_ && nowCycle >= stallDeadline_) {
         stalled_ = false;
     }
-    if (!armed_ || fired_) {
-        return;
-    }
-    if (plan_.site == FaultSite::BusDrop ||
-        plan_.site == FaultSite::BusDelay ||
-        plan_.site == FaultSite::MallocStall ||
-        plan_.site == FaultSite::NicDmaCorrupt ||
-        plan_.site == FaultSite::NicRingCorrupt ||
-        plan_.site == FaultSite::NicLinkDrop ||
-        plan_.site == FaultSite::SwitchPortStall ||
-        plan_.site == FaultSite::FlowStateCorrupt ||
-        plan_.site == FaultSite::BrokerQueueCorrupt ||
-        plan_.site == FaultSite::CapTableCorrupt) {
-        return; // Event-triggered, not cycle-triggered.
-    }
-    if (nowCycle >= plan_.triggerCycle) {
+    // Event-triggered sites are delivered by their own hooks.
+    if (armed_ && !fired_ && cycleTriggered(plan_.site) &&
+        nowCycle >= plan_.triggerCycle) {
         fire(nowCycle);
     }
+}
+
+uint64_t
+FaultInjector::nextEventCycle() const
+{
+    uint64_t next = UINT64_MAX;
+    if (stalled_) {
+        next = stallDeadline_;
+    }
+    if (armed_ && !fired_ && cycleTriggered(plan_.site)) {
+        next = std::min(next, plan_.triggerCycle);
+    }
+    return next;
 }
 
 bool

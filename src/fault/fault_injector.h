@@ -92,6 +92,42 @@ enum class FaultSite : uint8_t
 constexpr uint32_t kFaultSiteCount =
     static_cast<uint32_t>(FaultSite::kCount);
 
+/**
+ * Is @p site delivered by FaultInjector::tick once the cycle counter
+ * reaches the plan's triggerCycle? Every other site is event-triggered
+ * and delivered by its own hook (bus transaction, malloc backoff, NIC
+ * delivery, switch tick, flow/broker/cap-table touch). The machine's
+ * batched time advance relies on this being the single list: a
+ * cycle-triggered site missing here would never fire.
+ */
+constexpr bool
+cycleTriggered(FaultSite site)
+{
+    switch (site) {
+      case FaultSite::TagClear:
+      case FaultSite::DataFlip:
+      case FaultSite::RevokerStall:
+      case FaultSite::RevokerStuckEpoch:
+      case FaultSite::BitmapCorrupt:
+      case FaultSite::SpuriousFault:
+      case FaultSite::FaultStorm:
+        return true;
+      case FaultSite::BusDrop:
+      case FaultSite::BusDelay:
+      case FaultSite::MallocStall:
+      case FaultSite::NicDmaCorrupt:
+      case FaultSite::NicRingCorrupt:
+      case FaultSite::NicLinkDrop:
+      case FaultSite::SwitchPortStall:
+      case FaultSite::FlowStateCorrupt:
+      case FaultSite::BrokerQueueCorrupt:
+      case FaultSite::CapTableCorrupt:
+      case FaultSite::kCount:
+        return false;
+    }
+    return false;
+}
+
 const char *faultSiteName(FaultSite site);
 
 /** One scheduled injection. */
@@ -139,6 +175,15 @@ class FaultInjector
     /** @name Machine hooks @{ */
     /** Cycle hook: delivers cycle-triggered faults. */
     void tick(uint64_t nowCycle);
+    /**
+     * The earliest cycle at which tick() can change state: the stall
+     * deadline while stalled, the trigger cycle while a
+     * cycle-triggered plan is armed and unfired, UINT64_MAX when
+     * neither. tick() with any earlier cycle is a no-op, so a caller
+     * may skip straight to this horizon. A value at or below the
+     * current cycle means the very next tick() acts.
+     */
+    uint64_t nextEventCycle() const;
     /**
      * Consume a pending spurious fault. Polled both by the guest-ISA
      * step loop (trap) and by the switcher on callee return (callee

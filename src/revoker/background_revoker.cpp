@@ -51,7 +51,8 @@ BackgroundRevoker::finishSweep()
     if (injector_ != nullptr && injector_->suppressEpochIncrement()) {
         // Stuck-epoch fault: the sweep ran dry but the completion
         // never becomes visible. Persists until software kicks the
-        // engine (tick() retries this path every free cycle).
+        // engine. Every free cycle retries this path; run() skips the
+        // retries, which change nothing.
         return;
     }
     ++epoch_; // Even: idle.
@@ -109,18 +110,46 @@ BackgroundRevoker::examine(Slot &slot)
 }
 
 bool
+BackgroundRevoker::stalled() const
+{
+    // Injected stall: the engine holds its state but makes no
+    // progress until kicked (or the stall window expires).
+    return injector_ != nullptr && injector_->revokerStalled();
+}
+
+bool
 BackgroundRevoker::tick(bool memPortFree)
 {
     if (!sweeping() || !memPortFree) {
         return false;
     }
-    if (injector_ != nullptr && injector_->revokerStalled()) {
-        // Injected stall: the engine holds its state but makes no
-        // progress until kicked (or the stall window expires).
+    if (stalled()) {
         stallCycles++;
         return false;
     }
+    return step();
+}
 
+void
+BackgroundRevoker::run(uint64_t freeCycles)
+{
+    if (!sweeping()) {
+        return;
+    }
+    if (stalled()) {
+        stallCycles += freeCycles;
+        return;
+    }
+    for (; freeCycles > 0; --freeCycles) {
+        if (!step()) {
+            return;
+        }
+    }
+}
+
+bool
+BackgroundRevoker::step()
+{
     // Priority 1: writebacks. A single tag-clearing write suffices
     // because the architectural tag is the AND of the micro-tags.
     for (Slot &slot : slots_) {

@@ -94,6 +94,18 @@ class BackgroundRevoker : public mem::MmioDevice
     bool tick(bool memPortFree);
 
     /**
+     * Advance @p freeCycles cycles in which the load-store port is
+     * free; exactly equivalent to that many tick(true) calls provided
+     * the attached injector's stall and stuck-epoch state does not
+     * change in between (the machine cuts its time advance at the
+     * injector's next event to guarantee this). Returns at once when
+     * idle, charges a stalled window to stallCycles in one step, and
+     * stops early once the sweep has finished or drained under a
+     * stuck epoch.
+     */
+    void run(uint64_t freeCycles);
+
+    /**
      * Snoop a store from the main pipeline: if it hits a word
      * currently in flight, that word must be reloaded.
      */
@@ -136,6 +148,12 @@ class BackgroundRevoker : public mem::MmioDevice
     void startSweep();
     void finishSweep();
     bool issueNextLoad();
+    /** One free, unstalled cycle of an in-progress sweep: the
+     * writeback > beat > issue pipeline. Returns true if the port was
+     * used; false means the sweep has drained (finished, or held
+     * odd by a stuck epoch) and further steps change nothing. */
+    bool step();
+    bool stalled() const;
     void examine(Slot &slot);
 
     mem::TaggedMemory &sram_;

@@ -204,10 +204,25 @@ Machine::writeRegInt(unsigned index, uint32_t value)
 void
 Machine::advance(uint64_t cycleCount, uint64_t memPortBusy)
 {
-    for (uint64_t i = 0; i < cycleCount; ++i) {
-        const bool portFree = i >= memPortBusy;
-        bgRevoker_.tick(portFree);
-        ++cycles_;
+    // Batched form of "for each cycle: revoker tick (port free once
+    // the busy prefix is over), bump the cycle counter, injector
+    // tick". Injector ticks before its next event change nothing, so
+    // the revoker sees constant injector state up to that horizon;
+    // each chunk ends on it, runs the revoker over the chunk's free
+    // cycles (busy-port ticks are no-ops), then ticks the injector
+    // once for the chunk's last cycle.
+    const uint64_t end = cycles_ + cycleCount;
+    const uint64_t freeFrom = cycles_ + std::min(memPortBusy, cycleCount);
+    while (cycles_ < end) {
+        uint64_t chunkEnd = end;
+        if (injector_ != nullptr) {
+            chunkEnd = std::clamp(injector_->nextEventCycle(), cycles_ + 1,
+                                  end);
+        }
+        if (chunkEnd > freeFrom) {
+            bgRevoker_.run(chunkEnd - std::max(cycles_, freeFrom));
+        }
+        cycles_ = chunkEnd;
         if (injector_ != nullptr) {
             injector_->tick(cycles_);
         }

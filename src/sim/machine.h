@@ -111,7 +111,8 @@ struct MachineConfig
     uint32_t heapSize = 256u << 10;
     uint32_t revocationGranule = 8;
     /** Optional fault-injection engine; the machine attaches it to
-     * the SRAM / bitmap / revoker and polls it every cycle. */
+     * the SRAM / bitmap / revoker and ticks it at each of its events
+     * (see advance()). */
     fault::FaultInjector *injector = nullptr;
 };
 
@@ -181,7 +182,9 @@ class Machine
     /**
      * Advance the clock. The first @p memPortBusy cycles have the
      * load-store unit occupied by the main pipeline; remaining cycles
-     * leave it free for the background revoker.
+     * leave it free for the background revoker. Runs in chunks cut at
+     * the fault injector's next event, exactly equivalent to
+     * @p cycleCount single-cycle advances (DESIGN.md §6.1).
      */
     void advance(uint64_t cycleCount, uint64_t memPortBusy = 0);
     /** Idle cycles: the port is entirely free. */

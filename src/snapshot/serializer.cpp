@@ -9,18 +9,41 @@ namespace cheriot::snapshot
 namespace
 {
 
-std::array<uint32_t, 256>
-buildCrcTable()
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/**
+ * Slice-by-8 tables for the reflected IEEE polynomial: tables[0] is
+ * the classic byte-at-a-time table, and tables[k][i] is the CRC of
+ * byte i followed by k zero bytes, so eight table lookups fold eight
+ * input bytes at once.
+ */
+CrcTables
+buildCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables tables{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k) {
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < tables.size(); ++k) {
+        for (uint32_t i = 0; i < 256; ++i) {
+            const uint32_t prev = tables[k - 1][i];
+            tables[k][i] = tables[0][prev & 0xffu] ^ (prev >> 8);
+        }
+    }
+    return tables;
+}
+
+uint32_t
+loadLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -28,10 +51,18 @@ buildCrcTable()
 uint32_t
 crc32(const uint8_t *data, size_t size, uint32_t seed)
 {
-    static const std::array<uint32_t, 256> table = buildCrcTable();
+    static const CrcTables t = buildCrcTables();
     uint32_t c = seed ^ 0xffffffffu;
-    for (size_t i = 0; i < size; ++i) {
-        c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        const uint32_t lo = c ^ loadLe32(data);
+        const uint32_t hi = loadLe32(data + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size) {
+        c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
     }
     return c ^ 0xffffffffu;
 }
