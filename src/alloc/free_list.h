@@ -16,12 +16,6 @@
 
 #include <array>
 
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::alloc
 {
 
@@ -49,10 +43,12 @@ class FreeList
     uint64_t freeBytes() const { return freeBytes_; }
     uint32_t chunkCount() const { return chunks_; }
 
-    /** @name Snapshot state (bin heads; links live in guest SRAM) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state (bin heads; links live in guest SRAM). */
+    template <class V>
+    void fields(V &v)
+    {
+        v(smallBins_, largeHead_, freeBytes_, chunks_);
+    }
 
   private:
     static constexpr uint32_t kSmallBinCount = 30; // 24..256 step 8

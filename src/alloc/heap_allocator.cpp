@@ -3,7 +3,6 @@
 #include "cap/bounds.h"
 #include "fault/fault_injector.h"
 #include "sim/machine.h"
-#include "snapshot/serializer.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -75,17 +74,7 @@ HeapAllocator::HeapAllocator(rtos::GuestContext &guest, Capability heapCap,
         ((heapEnd_ - heapBase_) / bitmapGranule_ + 7) / 8, 0);
     internalBits_.assign(allocStartBits_.size(), 0);
 
-    stats_.registerCounter("mallocs", mallocs);
-    stats_.registerCounter("frees", frees);
-    stats_.registerCounter("failedMallocs", failedMallocs);
-    stats_.registerCounter("rejectedFrees", rejectedFrees);
-    stats_.registerCounter("sweeps", sweepsTriggered);
-    stats_.registerCounter("released", chunksReleased);
-    stats_.registerCounter("quotaDenials", quotaDenials);
-    stats_.registerCounter("blockedMallocs", blockedMallocs);
-    stats_.registerCounter("backoffWaitCycles", backoffWaitCycles);
-    stats_.registerCounter("backoffTimeouts", backoffTimeouts);
-    stats_.registerCounter("oomReturns", oomReturns);
+    snapshot::registerStats(stats_, *this);
 
     // Establish the initial layout: one big free chunk and a
     // permanently in-use zero-size sentinel at the very top, so
@@ -749,78 +738,6 @@ HeapAllocator::synchronise()
     }
     triggerSweep(true);
     drainQuarantine();
-}
-
-void
-HeapAllocator::serialize(snapshot::Writer &w) const
-{
-    freeList_.serialize(w);
-    quarantine_.serialize(w);
-    w.u32(claimsHead_);
-    w.bytes(allocStartBits_.data(), allocStartBits_.size());
-    w.bytes(internalBits_.data(), internalBits_.size());
-    w.counter(mallocs);
-    w.counter(frees);
-    w.counter(failedMallocs);
-    w.counter(rejectedFrees);
-    w.counter(sweepsTriggered);
-    w.counter(chunksReleased);
-    quota_.serialize(w);
-    w.u32(static_cast<uint32_t>(chunkOwners_.size()));
-    for (const auto &[chunk, owner] : chunkOwners_) {
-        w.u32(chunk);
-        w.u32(owner);
-    }
-    w.u32(static_cast<uint32_t>(chunkSlack_.size()));
-    for (const auto &[chunk, bytes] : chunkSlack_) {
-        w.u32(chunk);
-        w.u32(bytes);
-    }
-    w.u64(slackBytes_);
-    w.counter(quotaDenials);
-    w.counter(blockedMallocs);
-    w.counter(backoffWaitCycles);
-    w.counter(backoffTimeouts);
-    w.counter(oomReturns);
-}
-
-bool
-HeapAllocator::deserialize(snapshot::Reader &r)
-{
-    if (!freeList_.deserialize(r) || !quarantine_.deserialize(r)) {
-        return false;
-    }
-    claimsHead_ = r.u32();
-    r.bytes(allocStartBits_.data(), allocStartBits_.size());
-    r.bytes(internalBits_.data(), internalBits_.size());
-    r.counter(mallocs);
-    r.counter(frees);
-    r.counter(failedMallocs);
-    r.counter(rejectedFrees);
-    r.counter(sweepsTriggered);
-    r.counter(chunksReleased);
-    if (!quota_.deserialize(r)) {
-        return false;
-    }
-    chunkOwners_.clear();
-    const uint32_t owners = r.u32();
-    for (uint32_t i = 0; i < owners; ++i) {
-        const uint32_t chunk = r.u32();
-        chunkOwners_[chunk] = r.u32();
-    }
-    chunkSlack_.clear();
-    const uint32_t slacked = r.u32();
-    for (uint32_t i = 0; i < slacked; ++i) {
-        const uint32_t chunk = r.u32();
-        chunkSlack_[chunk] = r.u32();
-    }
-    slackBytes_ = r.u64();
-    r.counter(quotaDenials);
-    r.counter(blockedMallocs);
-    r.counter(backoffWaitCycles);
-    r.counter(backoffTimeouts);
-    r.counter(oomReturns);
-    return r.ok();
 }
 
 } // namespace cheriot::alloc

@@ -31,17 +31,12 @@
 #include "alloc/quota.h"
 #include "revoker/revocation_bitmap.h"
 #include "revoker/revoker.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <functional>
 #include <map>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::alloc
 {
@@ -218,8 +213,24 @@ class HeapAllocator
      * head, allocation-start bitmaps, counters). Chunk headers and
      * list links live in guest SRAM and are covered by the machine
      * image; restoring both sides re-establishes consistency. @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v(freeList_, quarantine_, claimsHead_,
+          snapshot::fixed(allocStartBits_), snapshot::fixed(internalBits_));
+        v.counter("mallocs", mallocs);
+        v.counter("frees", frees);
+        v.counter("failedMallocs", failedMallocs);
+        v.counter("rejectedFrees", rejectedFrees);
+        v.counter("sweeps", sweepsTriggered);
+        v.counter("released", chunksReleased);
+        v(quota_, chunkOwners_, chunkSlack_, slackBytes_);
+        v.counter("quotaDenials", quotaDenials);
+        v.counter("blockedMallocs", blockedMallocs);
+        v.counter("backoffWaitCycles", backoffWaitCycles);
+        v.counter("backoffTimeouts", backoffTimeouts);
+        v.counter("oomReturns", oomReturns);
+    }
     /** @} */
 
     Counter mallocs;

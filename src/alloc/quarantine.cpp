@@ -1,6 +1,5 @@
 #include "alloc/quarantine.h"
 
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::alloc
@@ -104,35 +103,6 @@ Quarantine::oldestEpoch() const
         }
     }
     return oldest;
-}
-
-void
-Quarantine::serialize(snapshot::Writer &w) const
-{
-    for (const List &list : lists_) {
-        w.b(list.active);
-        w.u32(list.epoch);
-        w.u32(list.head);
-        w.u64(list.bytes);
-        w.u32(list.chunks);
-    }
-    w.u64(totalBytes_);
-    w.u32(totalChunks_);
-}
-
-bool
-Quarantine::deserialize(snapshot::Reader &r)
-{
-    for (List &list : lists_) {
-        list.active = r.b();
-        list.epoch = r.u32();
-        list.head = r.u32();
-        list.bytes = r.u64();
-        list.chunks = r.u32();
-    }
-    totalBytes_ = r.u64();
-    totalChunks_ = r.u32();
-    return r.ok();
 }
 
 } // namespace cheriot::alloc

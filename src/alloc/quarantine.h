@@ -26,12 +26,6 @@
 #include <cstdint>
 #include <functional>
 
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::alloc
 {
 
@@ -70,10 +64,12 @@ class Quarantine
         return count;
     }
 
-    /** @name Snapshot state (list heads; links live in guest SRAM) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state (list heads; links live in guest SRAM). */
+    template <class V>
+    void fields(V &v)
+    {
+        v(lists_, totalBytes_, totalChunks_);
+    }
 
   private:
     struct List
@@ -83,6 +79,12 @@ class Quarantine
         uint32_t head = 0;
         uint64_t bytes = 0;
         uint32_t chunks = 0;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(active, epoch, head, bytes, chunks);
+        }
     };
 
     static constexpr unsigned kMaxLists = 3;

@@ -23,12 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::alloc
 {
 
@@ -47,6 +41,12 @@ class QuotaLedger
         uint64_t used = 0;  ///< Bytes currently charged.
         uint64_t peak = 0;  ///< High-water mark of used.
         uint32_t denials = 0; ///< Charges refused for this entry.
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(limit, used, peak, denials);
+        }
     };
 
     /** Mint a new entry with a @p limitBytes ceiling; returns its id. */
@@ -84,10 +84,11 @@ class QuotaLedger
     /** Charges refused across every metered entry. */
     uint64_t totalDenials() const;
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    template <class V>
+    void fields(V &v)
+    {
+        v(entries_);
+    }
 
   private:
     /** Entry i backs QuotaId i+1 (0 is the unmetered account). */

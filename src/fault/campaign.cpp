@@ -315,41 +315,8 @@ bool
 writeReproRecord(const ReproRecord &record, const std::string &path)
 {
     snapshot::SnapshotWriter out;
-    snapshot::Writer &w = out.beginSection("repro");
-    w.u64(record.campaignSeed);
-    w.u32(record.injectionIndex);
-    w.u64(record.runSeed);
-    w.u8(static_cast<uint8_t>(record.workload));
-    w.u8(static_cast<uint8_t>(record.plan.site));
-    w.u64(record.plan.triggerCycle);
-    w.u64(record.plan.triggerTransaction);
-    w.u32(record.plan.addr);
-    w.u32(record.plan.param);
-    w.u8(static_cast<uint8_t>(record.outcome));
-    w.u64(record.safetyViolations);
-    w.u32(record.faultBudget);
-    w.u64(record.restartDelayCycles);
-    w.u64(record.cmBudget);
-    w.b(record.iotRef.ok);
-    w.u64(record.iotRef.packetsProcessed);
-    w.u64(record.iotRef.jsTicks);
-    w.u32(record.iotRef.finalLedState);
-    w.u64(record.iotRef.calleeFaults);
-    w.u64(record.iotRef.handlerInvocations);
-    w.u64(record.iotRef.forcedUnwinds);
-    w.u64(record.iotRef.trapsTaken);
-    w.u64(record.iotRef.nicRxDrops);
-    w.u64(record.iotRef.nicRxErrors);
-    w.u64(record.iotRef.netParseDrops);
-    w.u64(record.iotRef.netRingCorruptionsDetected);
-    w.b(record.cmRef.valid);
-    w.u32(record.cmRef.checksum);
-    out.endSection();
-    snapshot::Writer &pw = out.beginSection("prefault");
-    pw.u32(static_cast<uint32_t>(record.preFaultImage.data.size()));
-    pw.bytes(record.preFaultImage.data.data(),
-             record.preFaultImage.data.size());
-    out.endSection();
+    out.saveSection("repro", record);
+    out.saveSection("prefault", record.preFaultImage.data);
     return snapshot::saveImageToFile(out.finish(), path);
 }
 
@@ -361,50 +328,8 @@ readReproRecord(const std::string &path, ReproRecord *out)
         return false;
     }
     snapshot::SnapshotReader in(image);
-    if (!in.valid() || !in.hasSection("repro") ||
-        !in.hasSection("prefault")) {
-        return false;
-    }
-    snapshot::Reader r = in.section("repro");
-    out->campaignSeed = r.u64();
-    out->injectionIndex = r.u32();
-    out->runSeed = r.u64();
-    out->workload = static_cast<CampaignWorkload>(r.u8());
-    out->plan.site = static_cast<FaultSite>(r.u8());
-    out->plan.triggerCycle = r.u64();
-    out->plan.triggerTransaction = r.u64();
-    out->plan.addr = r.u32();
-    out->plan.param = r.u32();
-    out->outcome = static_cast<Outcome>(r.u8());
-    out->safetyViolations = r.u64();
-    out->faultBudget = r.u32();
-    out->restartDelayCycles = r.u64();
-    out->cmBudget = r.u64();
-    out->iotRef.ok = r.b();
-    out->iotRef.packetsProcessed = r.u64();
-    out->iotRef.jsTicks = r.u64();
-    out->iotRef.finalLedState = r.u32();
-    out->iotRef.calleeFaults = r.u64();
-    out->iotRef.handlerInvocations = r.u64();
-    out->iotRef.forcedUnwinds = r.u64();
-    out->iotRef.trapsTaken = r.u64();
-    out->iotRef.nicRxDrops = r.u64();
-    out->iotRef.nicRxErrors = r.u64();
-    out->iotRef.netParseDrops = r.u64();
-    out->iotRef.netRingCorruptionsDetected = r.u64();
-    out->cmRef.valid = r.b();
-    out->cmRef.checksum = r.u32();
-    if (!r.exhausted()) {
-        return false;
-    }
-    snapshot::Reader pr = in.section("prefault");
-    const uint32_t size = pr.u32();
-    if (size > pr.remaining()) {
-        return false;
-    }
-    out->preFaultImage.data.assign(size, 0);
-    pr.bytes(out->preFaultImage.data.data(), size);
-    return pr.exhausted();
+    return in.valid() && in.restoreSection("repro", *out) &&
+           in.restoreSection("prefault", out->preFaultImage.data);
 }
 
 ReplayResult

@@ -179,6 +179,23 @@ struct ReproRecord
     /** System state at the start of the injected run, before the
      * armed plan can fire. */
     snapshot::SnapshotImage preFaultImage;
+
+    /** The "repro" section: everything but the pre-fault image. */
+    template <class V>
+    void fields(V &v)
+    {
+        using snapshot::as;
+        v(campaignSeed, injectionIndex, runSeed, as<uint8_t>(workload),
+          as<uint8_t>(plan.site), plan.triggerCycle, plan.triggerTransaction,
+          plan.addr, plan.param, as<uint8_t>(outcome), safetyViolations,
+          faultBudget, restartDelayCycles, cmBudget);
+        v(iotRef.ok, iotRef.packetsProcessed, iotRef.jsTicks,
+          iotRef.finalLedState, iotRef.calleeFaults,
+          iotRef.handlerInvocations, iotRef.forcedUnwinds,
+          iotRef.trapsTaken, iotRef.nicRxDrops, iotRef.nicRxErrors,
+          iotRef.netParseDrops, iotRef.netRingCorruptionsDetected);
+        v(cmRef.valid, cmRef.checksum);
+    }
 };
 
 /** @name Repro record file I/O (crash-consistent, CRC-validated) @{ */

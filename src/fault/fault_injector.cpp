@@ -59,25 +59,7 @@ FaultInjector::FaultInjector(uint64_t seed)
     for (uint32_t i = 0; i < kFaultSiteCount; ++i) {
         streams_[i] = Rng::forStream(seed, i);
     }
-    stats_.registerCounter("faultsInjected", faultsInjected);
-    stats_.registerCounter("tagsCleared", tagsCleared);
-    stats_.registerCounter("bitsFlipped", bitsFlipped);
-    stats_.registerCounter("busDrops", busDrops);
-    stats_.registerCounter("busDelays", busDelays);
-    stats_.registerCounter("revokerStalls", revokerStalls);
-    stats_.registerCounter("mallocStalls", mallocStalls);
-    stats_.registerCounter("epochsStuck", epochsStuck);
-    stats_.registerCounter("bitmapBitsPainted", bitmapBitsPainted);
-    stats_.registerCounter("spuriousFaults", spuriousFaults);
-    stats_.registerCounter("kicksObserved", kicksObserved);
-    stats_.registerCounter("nicPayloadFlips", nicPayloadFlips);
-    stats_.registerCounter("nicDescriptorFlips", nicDescriptorFlips);
-    stats_.registerCounter("nicLinkDrops", nicLinkDrops);
-    stats_.registerCounter("switchPortStalls", switchPortStalls);
-    stats_.registerCounter("flowStateFlips", flowStateFlips);
-    stats_.registerCounter("brokerQueueFlips", brokerQueueFlips);
-    stats_.registerCounter("capTableFlips", capTableFlips);
-    stats_.registerCounter("safetyViolations", safetyViolations);
+    snapshot::registerStats(stats_, *this);
 }
 
 FaultPlan

@@ -35,6 +35,7 @@
 #ifndef CHERIOT_FAULT_FAULT_INJECTOR_H
 #define CHERIOT_FAULT_FAULT_INJECTOR_H
 
+#include "snapshot/serializer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -290,6 +291,32 @@ class FaultInjector
 
     uint64_t seed() const { return seed_; }
     StatGroup &stats() { return stats_; }
+
+    /** Stats only: the injector is deliberately absent from snapshots
+     * (replay rebuilds it from the recorded seed and plan). */
+    template <class V>
+    void fields(V &v)
+    {
+        v.stat("faultsInjected", faultsInjected);
+        v.stat("tagsCleared", tagsCleared);
+        v.stat("bitsFlipped", bitsFlipped);
+        v.stat("busDrops", busDrops);
+        v.stat("busDelays", busDelays);
+        v.stat("revokerStalls", revokerStalls);
+        v.stat("mallocStalls", mallocStalls);
+        v.stat("epochsStuck", epochsStuck);
+        v.stat("bitmapBitsPainted", bitmapBitsPainted);
+        v.stat("spuriousFaults", spuriousFaults);
+        v.stat("kicksObserved", kicksObserved);
+        v.stat("nicPayloadFlips", nicPayloadFlips);
+        v.stat("nicDescriptorFlips", nicDescriptorFlips);
+        v.stat("nicLinkDrops", nicLinkDrops);
+        v.stat("switchPortStalls", switchPortStalls);
+        v.stat("flowStateFlips", flowStateFlips);
+        v.stat("brokerQueueFlips", brokerQueueFlips);
+        v.stat("capTableFlips", capTableFlips);
+        v.stat("safetyViolations", safetyViolations);
+    }
 
     Counter faultsInjected;     ///< Total faults delivered.
     Counter tagsCleared;        ///< Injected tag clears.

@@ -13,6 +13,7 @@
 #ifndef CHERIOT_MEM_BUS_H
 #define CHERIOT_MEM_BUS_H
 
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
@@ -21,12 +22,6 @@ namespace cheriot::fault
 {
 class FaultInjector;
 }
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::mem
 {
@@ -92,11 +87,7 @@ class Bus
 
     explicit Bus(BusWidth width) : width_(width)
     {
-        stats_.registerCounter("transactions", transactions);
-        stats_.registerCounter("retries", retries);
-        stats_.registerCounter("delayCycles", delayCycles);
-        stats_.registerCounter("errors", errors);
-        stats_.registerCounter("beats", beats);
+        snapshot::registerStats(stats_, *this);
     }
 
     BusWidth width() const { return width_; }
@@ -107,19 +98,24 @@ class Bus
      */
     BusResult transact(unsigned beats, fault::FaultInjector *injector);
 
-    /** @name Snapshot state (the bus itself is stateless; counters) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state: the bus itself is stateless, so only its
+     * counters. */
+    template <class V>
+    void fields(V &v)
+    {
+        v.counter("transactions", transactions);
+        v.counter("retries", retries);
+        v.counter("delayCycles", delayCycles);
+        v.counter("errors", errors);
+        // Measurement only: keeps the image layout of the v4 format.
+        v.stat("beats", beats);
+    }
 
     Counter transactions; ///< Transactions initiated.
     Counter retries;      ///< Replays after drops.
     Counter delayCycles;  ///< Cycles lost to delays and backoff.
     Counter errors;       ///< Transactions that exhausted retries.
-    /** Data beats moved on the core's load-store port. Diagnostic
-     * only — not serialized, so snapshot layout and determinism
-     * digests are unchanged. */
-    Counter beats;
+    Counter beats; ///< Data beats moved on the load-store port.
 
     StatGroup &stats() { return stats_; }
 

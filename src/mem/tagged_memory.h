@@ -15,16 +15,11 @@
 #ifndef CHERIOT_MEM_TAGGED_MEMORY_H
 #define CHERIOT_MEM_TAGGED_MEMORY_H
 
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::mem
 {
@@ -122,10 +117,19 @@ class TaggedMemory
     void injectTagClear(uint32_t addr);
     /** @} */
 
-    /** @name Snapshot state (contents, micro-tags, counters) @{ */
-    void serialize(snapshot::Writer &w) const;
-    /** False on geometry mismatch or a short payload. */
-    bool deserialize(snapshot::Reader &r);
+    /** @name Snapshot state (geometry, contents, micro-tags, counters) @{ */
+    template <class V>
+    void fields(V &v)
+    {
+        v.expect(base_);
+        v.expect(size_);
+        v(snapshot::fixed(data_), snapshot::fixed(microTags_));
+        v.counter("reads", reads);
+        v.counter("writes", writes);
+        v.counter("capReads", capReads);
+        v.counter("capWrites", capWrites);
+        v.counter("tagClears", tagClears);
+    }
     /** CRC-32 over contents and micro-tags only (no counters), so
      * machines with different timing models can still be compared. */
     uint32_t contentsDigest() const;

@@ -3,7 +3,6 @@
 #include "fault/fault_injector.h"
 #include "net/fleet_frame.h"
 #include "rtos/kernel.h"
-#include "snapshot/serializer.h"
 
 #include <algorithm>
 
@@ -331,72 +330,6 @@ TelemetryBroker::queueDepth(uint32_t subscriber) const
                ? static_cast<uint32_t>(
                      subscribers_[subscriber].queue.size())
                : 0;
-}
-
-void
-TelemetryBroker::serialize(snapshot::Writer &w) const
-{
-    w.u32(static_cast<uint32_t>(subscribers_.size()));
-    for (const Subscriber &sub : subscribers_) {
-        w.u32(sub.classMask);
-        w.u32(static_cast<uint32_t>(sub.queue.size()));
-        for (const Entry &e : sub.queue) {
-            w.cap(e.rec);
-            w.u32(e.srcMac);
-            w.u32(e.cls);
-            w.u32(e.w0);
-            w.u32(e.w1);
-            w.u32(e.canary);
-        }
-    }
-    w.u64(published_);
-    w.u64(delivered_);
-    for (uint32_t c = 0; c < kClassCount; ++c) {
-        w.u64(shedByClass_[c]);
-    }
-    w.u64(backpressureRefusals_);
-    w.u64(heapDenials_);
-    w.u64(corruptDrops_);
-    w.u64(chargeDenials_);
-    w.u64(claims_);
-    w.u64(heapBytesLive_);
-    w.u32(queueHighWater_);
-}
-
-bool
-TelemetryBroker::deserialize(snapshot::Reader &r)
-{
-    subscribers_.clear();
-    const uint32_t subCount = r.u32();
-    for (uint32_t i = 0; i < subCount && r.ok(); ++i) {
-        Subscriber sub;
-        sub.classMask = static_cast<uint8_t>(r.u32());
-        const uint32_t depth = r.u32();
-        for (uint32_t j = 0; j < depth && r.ok(); ++j) {
-            Entry e;
-            e.rec = r.cap();
-            e.srcMac = r.u32();
-            e.cls = static_cast<uint8_t>(r.u32());
-            e.w0 = r.u32();
-            e.w1 = r.u32();
-            e.canary = r.u32();
-            sub.queue.push_back(e);
-        }
-        subscribers_.push_back(std::move(sub));
-    }
-    published_ = r.u64();
-    delivered_ = r.u64();
-    for (uint32_t c = 0; c < kClassCount; ++c) {
-        shedByClass_[c] = r.u64();
-    }
-    backpressureRefusals_ = r.u64();
-    heapDenials_ = r.u64();
-    corruptDrops_ = r.u64();
-    chargeDenials_ = r.u64();
-    claims_ = r.u64();
-    heapBytesLive_ = r.u64();
-    queueHighWater_ = r.u32();
-    return r.ok();
 }
 
 } // namespace cheriot::net

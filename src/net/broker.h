@@ -38,6 +38,7 @@
 
 #include "cap/capability.h"
 #include "rtos/compartment.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <deque>
@@ -49,12 +50,6 @@ namespace cheriot::rtos
 class Kernel;
 class Thread;
 } // namespace cheriot::rtos
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::fault
 {
@@ -148,10 +143,13 @@ class TelemetryBroker
     uint64_t heapBytesLive() const { return heapBytesLive_; }
     /** @} */
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    template <class V>
+    void fields(V &v)
+    {
+        v(subscribers_, published_, delivered_, shedByClass_,
+          backpressureRefusals_, heapDenials_, corruptDrops_, chargeDenials_,
+          claims_, heapBytesLive_, queueHighWater_);
+    }
 
   private:
     struct Entry
@@ -162,11 +160,23 @@ class TelemetryBroker
         uint32_t w0 = 0;
         uint32_t w1 = 0;
         uint32_t canary = 0; ///< Mirror of the record's canary word.
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(rec, srcMac, snapshot::as<uint32_t>(cls), w0, w1, canary);
+        }
     };
     struct Subscriber
     {
         uint8_t classMask = 0;
         std::deque<Entry> queue;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(snapshot::as<uint32_t>(classMask), queue);
+        }
     };
 
     static uint32_t mix(uint32_t x);

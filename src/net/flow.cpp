@@ -3,7 +3,6 @@
 #include "fault/fault_injector.h"
 #include "rtos/kernel.h"
 #include "sim/machine.h"
-#include "snapshot/serializer.h"
 
 namespace cheriot::net
 {
@@ -126,7 +125,7 @@ FlowManager::resetFlow(std::map<uint32_t, Flow> &table, uint32_t peer,
     queueSegment(peer, FlowKind::Reset, it->second.cls, it->second.id,
                  static_cast<uint16_t>(reason), /*unreliable=*/true);
     if (&table == &txFlows_) {
-        lastClose_[peer] = static_cast<uint8_t>(reason);
+        lastClose_[peer] = static_cast<uint32_t>(reason);
     }
     table.erase(it);
 }
@@ -241,7 +240,7 @@ FlowManager::close(rtos::Thread &thread, uint32_t dstMac)
         }
     }
     // Not yet established (or the FIN was refused): drop locally.
-    lastClose_[dstMac] = static_cast<uint8_t>(CloseReason::PeerClose);
+    lastClose_[dstMac] = static_cast<uint32_t>(CloseReason::PeerClose);
     txFlows_.erase(it);
 }
 
@@ -493,7 +492,7 @@ FlowManager::deliverBody(CompartmentContext &ctx, ArgVec &args)
         if (it != txFlows_.end() && it->second.id == id &&
             it->second.state == State::FinSent) {
             lastClose_[src] =
-                static_cast<uint8_t>(CloseReason::PeerClose);
+                static_cast<uint32_t>(CloseReason::PeerClose);
             txFlows_.erase(it);
         }
         return CallResult::ofInt(1);
@@ -502,7 +501,7 @@ FlowManager::deliverBody(CompartmentContext &ctx, ArgVec &args)
         resetsReceived_++;
         const auto tt = txFlows_.find(src);
         if (tt != txFlows_.end() && tt->second.id == id) {
-            lastClose_[src] = static_cast<uint8_t>(
+            lastClose_[src] = static_cast<uint32_t>(
                 arg == static_cast<uint16_t>(CloseReason::StaleEpoch)
                     ? CloseReason::StaleEpoch
                     : CloseReason::Reset);
@@ -577,139 +576,6 @@ FlowManager::lastClose(uint32_t dstMac) const
     return it == lastClose_.end()
                ? CloseReason::None
                : static_cast<CloseReason>(it->second);
-}
-
-void
-FlowManager::serialize(snapshot::Writer &w) const
-{
-    const auto putFlow = [&w](const Flow &f) {
-        w.u32(f.peer);
-        w.u32(f.id);
-        w.u32(f.cls);
-        w.u32(static_cast<uint32_t>(f.state));
-        w.u32(f.peerEpoch);
-        w.u32(f.peerWindow);
-        w.u32(f.sent);
-        w.u32(f.credited);
-        w.u32(f.delivered);
-        w.u32(f.creditCountdown);
-        w.u64(f.lastHeard);
-        w.u64(f.lastSent);
-        w.u32(f.canary);
-    };
-    w.u32(nextFlowSeq_);
-    w.u32(static_cast<uint32_t>(txFlows_.size()));
-    for (const auto &entry : txFlows_) {
-        w.u32(entry.first);
-        putFlow(entry.second);
-    }
-    w.u32(static_cast<uint32_t>(rxFlows_.size()));
-    for (const auto &entry : rxFlows_) {
-        w.u32(entry.first);
-        putFlow(entry.second);
-    }
-    w.u32(static_cast<uint32_t>(lastClose_.size()));
-    for (const auto &entry : lastClose_) {
-        w.u32(entry.first);
-        w.u32(entry.second);
-    }
-    w.u32(static_cast<uint32_t>(pendingSegments_.size()));
-    for (const auto &seg : pendingSegments_) {
-        w.u32(seg.dst);
-        w.u32(static_cast<uint32_t>(seg.kind));
-        w.u32(seg.cls);
-        w.u32(seg.id);
-        w.u32(seg.arg);
-        w.b(seg.unreliable);
-    }
-    w.u64(opens_);
-    w.u64(accepts_);
-    w.u64(segmentsSent_);
-    w.u64(segmentsDelivered_);
-    w.u64(windowStalls_);
-    w.u64(creditsSent_);
-    w.u64(creditsReceived_);
-    w.u64(keepalivesSent_);
-    w.u64(keepalivesSeen_);
-    w.u64(timeouts_);
-    w.u64(resetsSent_);
-    w.u64(resetsReceived_);
-    w.u64(staleEpochResets_);
-    w.u64(unknownFlowResets_);
-    w.u64(corruptResets_);
-    w.u64(nonFlowDrops_);
-    w.u64(peerCloses_);
-}
-
-bool
-FlowManager::deserialize(snapshot::Reader &r)
-{
-    const auto getFlow = [&r]() {
-        Flow f;
-        f.peer = r.u32();
-        f.id = static_cast<uint16_t>(r.u32());
-        f.cls = static_cast<uint8_t>(r.u32());
-        f.state = static_cast<State>(r.u32());
-        f.peerEpoch = r.u32();
-        f.peerWindow = r.u32();
-        f.sent = r.u32();
-        f.credited = r.u32();
-        f.delivered = r.u32();
-        f.creditCountdown = r.u32();
-        f.lastHeard = r.u64();
-        f.lastSent = r.u64();
-        f.canary = r.u32();
-        return f;
-    };
-    nextFlowSeq_ = r.u32();
-    txFlows_.clear();
-    const uint32_t txCount = r.u32();
-    for (uint32_t i = 0; i < txCount && r.ok(); ++i) {
-        const uint32_t key = r.u32();
-        txFlows_[key] = getFlow();
-    }
-    rxFlows_.clear();
-    const uint32_t rxCount = r.u32();
-    for (uint32_t i = 0; i < rxCount && r.ok(); ++i) {
-        const uint32_t key = r.u32();
-        rxFlows_[key] = getFlow();
-    }
-    lastClose_.clear();
-    const uint32_t closeCount = r.u32();
-    for (uint32_t i = 0; i < closeCount && r.ok(); ++i) {
-        const uint32_t key = r.u32();
-        lastClose_[key] = static_cast<uint8_t>(r.u32());
-    }
-    pendingSegments_.clear();
-    const uint32_t pendingCount = r.u32();
-    for (uint32_t i = 0; i < pendingCount && r.ok(); ++i) {
-        PendingSegment seg;
-        seg.dst = r.u32();
-        seg.kind = static_cast<FlowKind>(r.u32());
-        seg.cls = static_cast<uint8_t>(r.u32());
-        seg.id = static_cast<uint16_t>(r.u32());
-        seg.arg = static_cast<uint16_t>(r.u32());
-        seg.unreliable = r.b();
-        pendingSegments_.push_back(seg);
-    }
-    opens_ = r.u64();
-    accepts_ = r.u64();
-    segmentsSent_ = r.u64();
-    segmentsDelivered_ = r.u64();
-    windowStalls_ = r.u64();
-    creditsSent_ = r.u64();
-    creditsReceived_ = r.u64();
-    keepalivesSent_ = r.u64();
-    keepalivesSeen_ = r.u64();
-    timeouts_ = r.u64();
-    resetsSent_ = r.u64();
-    resetsReceived_ = r.u64();
-    staleEpochResets_ = r.u64();
-    unknownFlowResets_ = r.u64();
-    corruptResets_ = r.u64();
-    nonFlowDrops_ = r.u64();
-    peerCloses_ = r.u64();
-    return r.ok();
 }
 
 } // namespace cheriot::net

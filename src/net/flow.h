@@ -46,6 +46,7 @@
 #define CHERIOT_NET_FLOW_H
 
 #include "net/net_stack.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <deque>
@@ -198,10 +199,15 @@ class FlowManager
     uint64_t peerCloses() const { return peerCloses_; }
     /** @} */
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    template <class V>
+    void fields(V &v)
+    {
+        v(nextFlowSeq_, txFlows_, rxFlows_, lastClose_, pendingSegments_,
+          opens_, accepts_, segmentsSent_, segmentsDelivered_, windowStalls_,
+          creditsSent_, creditsReceived_, keepalivesSent_, keepalivesSeen_,
+          timeouts_, resetsSent_, resetsReceived_, staleEpochResets_,
+          unknownFlowResets_, corruptResets_, nonFlowDrops_, peerCloses_);
+    }
 
   private:
     enum class State : uint8_t
@@ -227,6 +233,15 @@ class FlowManager
         uint64_t lastSent = 0;
         uint32_t canary = 0; ///< Over the identity fields; a
                              ///< scrambled entry dies typed.
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(peer, snapshot::as<uint32_t>(id), snapshot::as<uint32_t>(cls),
+              snapshot::as<uint32_t>(state), peerEpoch, peerWindow, sent,
+              credited, delivered, creditCountdown, lastHeard, lastSent,
+              canary);
+        }
     };
 
     /** A reply decided inside the deliver body, flushed host-side. */
@@ -238,6 +253,14 @@ class FlowManager
         uint16_t id = 0;
         uint16_t arg = 0;
         bool unreliable = false;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(dst, snapshot::as<uint32_t>(kind), snapshot::as<uint32_t>(cls),
+              snapshot::as<uint32_t>(id), snapshot::as<uint32_t>(arg),
+              unreliable);
+        }
     };
 
     static uint32_t mix(uint32_t x);
@@ -271,7 +294,8 @@ class FlowManager
      * keeps serialization canonical. */
     std::map<uint32_t, Flow> txFlows_;
     std::map<uint32_t, Flow> rxFlows_;
-    std::map<uint32_t, uint8_t> lastClose_; ///< tx side, CloseReason.
+    /** tx side, CloseReason held at its image width. */
+    std::map<uint32_t, uint32_t> lastClose_;
     std::deque<PendingSegment> pendingSegments_;
 
     uint64_t opens_ = 0;

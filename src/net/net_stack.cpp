@@ -3,7 +3,6 @@
 #include "mem/memory_map.h"
 #include "rtos/kernel.h"
 #include "sim/machine.h"
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 #include <algorithm>
@@ -1220,202 +1219,6 @@ NetStack::arqIdle() const
         }
     }
     return true;
-}
-
-void
-NetStack::serialize(snapshot::Writer &w) const
-{
-    w.u32(config_.rxRingEntries);
-    w.u32(config_.txRingEntries);
-    w.u32(rxConsumed_);
-    w.u32(rxPosted_);
-    w.u32(pendingRefills_);
-    w.u32(txPosted_);
-    w.u32(txReaped_);
-    w.u32(ackCountdown_);
-    for (const Capability &slot : rxSlots_) {
-        w.cap(slot);
-    }
-    for (const Capability &slot : txSlots_) {
-        w.cap(slot);
-    }
-    w.u64(packetsAccepted_);
-    w.u64(bytesAccepted_);
-    w.u64(parseDrops_);
-    w.u64(consumerRejects_);
-    w.u64(ringCorruptionsDetected_);
-    w.u64(refillFailures_);
-    w.u64(refillTimeouts_);
-    w.u64(rxErrorsSeen_);
-    w.u64(acksSent_);
-    w.u64(txCompleted_);
-    w.u64(arqSent_);
-    w.u64(arqDelivered_);
-    w.u64(arqDuplicatesDropped_);
-    w.u64(arqRetransmits_);
-    w.u64(arqAcksSent_);
-    w.u64(arqAcksReceived_);
-    w.u64(arqPeerDeaths_);
-    w.u64(arqRejoins_);
-    w.u64(arqProbesSent_);
-    w.u64(arqSendDrops_);
-    w.u64(wrongDest_);
-    // Peer map: std::map iteration order is the MAC order, so equal
-    // logical state always serializes to equal bytes (the canonical-
-    // image property the snapshot invariants rest on).
-    w.u32(static_cast<uint32_t>(peers_.size()));
-    for (const auto &[mac, peer] : peers_) {
-        w.u32(mac);
-        w.u32(peer.nextSeq);
-        w.b(peer.dead);
-        w.u64(peer.lastHeard);
-        w.u64(peer.nextProbe);
-        w.u32(peer.rxBase);
-        w.u32(peer.rxEpoch);
-        w.u32(static_cast<uint32_t>(peer.rxSeen.size()));
-        for (const uint32_t seq : peer.rxSeen) {
-            w.u32(seq);
-        }
-        for (const auto *queue : {&peer.pending, &peer.backlog}) {
-            w.u32(static_cast<uint32_t>(queue->size()));
-            for (const ArqMessage &msg : *queue) {
-                w.u32(msg.seq);
-                w.cap(msg.buf);
-                w.u32(msg.len);
-                w.u64(msg.sentAt);
-                w.u64(msg.nextRetry);
-                w.u64(msg.rto);
-                w.u32(msg.retries);
-            }
-        }
-    }
-    // Firewall admission state + retransmit histogram (appended after
-    // the PR-6 layout; symmetric with deserialize below).
-    w.u64(unreliableDelivered_);
-    for (uint32_t i = 0; i < kRetxHistogramBuckets; ++i) {
-        w.u64(retxHistogram_[i]);
-    }
-    w.u64(fwAdmitted_);
-    w.u64(fwRateLimited_);
-    w.u64(fwInflightDenied_);
-    w.u64(fwOversized_);
-    w.u64(fwMalformed_);
-    w.u64(fwStaleEpochs_);
-    w.u64(fwQuarantineDrops_);
-    w.u64(fwStrikes_);
-    w.u64(fwQuarantines_);
-    w.u32(static_cast<uint32_t>(fwDevices_.size()));
-    for (const auto &[mac, dev] : fwDevices_) {
-        w.u32(mac);
-        w.u32(static_cast<uint32_t>(dev.rule));
-        w.u32(dev.quota);
-        w.u64(dev.tokens256);
-        w.u64(dev.lastRefill);
-        w.u32(dev.strikes);
-        w.b(dev.quarantined);
-    }
-    fwLedger_.serialize(w);
-}
-
-bool
-NetStack::deserialize(snapshot::Reader &r)
-{
-    if (r.u32() != config_.rxRingEntries ||
-        r.u32() != config_.txRingEntries) {
-        return false;
-    }
-    rxConsumed_ = r.u32();
-    rxPosted_ = r.u32();
-    pendingRefills_ = r.u32();
-    txPosted_ = r.u32();
-    txReaped_ = r.u32();
-    ackCountdown_ = r.u32();
-    for (Capability &slot : rxSlots_) {
-        slot = r.cap();
-    }
-    for (Capability &slot : txSlots_) {
-        slot = r.cap();
-    }
-    packetsAccepted_ = r.u64();
-    bytesAccepted_ = r.u64();
-    parseDrops_ = r.u64();
-    consumerRejects_ = r.u64();
-    ringCorruptionsDetected_ = r.u64();
-    refillFailures_ = r.u64();
-    refillTimeouts_ = r.u64();
-    rxErrorsSeen_ = r.u64();
-    acksSent_ = r.u64();
-    txCompleted_ = r.u64();
-    arqSent_ = r.u64();
-    arqDelivered_ = r.u64();
-    arqDuplicatesDropped_ = r.u64();
-    arqRetransmits_ = r.u64();
-    arqAcksSent_ = r.u64();
-    arqAcksReceived_ = r.u64();
-    arqPeerDeaths_ = r.u64();
-    arqRejoins_ = r.u64();
-    arqProbesSent_ = r.u64();
-    arqSendDrops_ = r.u64();
-    wrongDest_ = r.u64();
-    peers_.clear();
-    const uint32_t peerCount = r.u32();
-    for (uint32_t p = 0; p < peerCount && r.ok(); ++p) {
-        const uint32_t mac = r.u32();
-        ArqPeer &peer = peers_[mac];
-        peer.nextSeq = r.u32();
-        peer.dead = r.b();
-        peer.lastHeard = r.u64();
-        peer.nextProbe = r.u64();
-        peer.rxBase = r.u32();
-        peer.rxEpoch = r.u32();
-        const uint32_t seen = r.u32();
-        for (uint32_t i = 0; i < seen && r.ok(); ++i) {
-            peer.rxSeen.insert(r.u32());
-        }
-        for (auto *queue : {&peer.pending, &peer.backlog}) {
-            const uint32_t depth = r.u32();
-            for (uint32_t i = 0; i < depth && r.ok(); ++i) {
-                ArqMessage msg;
-                msg.seq = r.u32();
-                msg.buf = r.cap();
-                msg.len = r.u32();
-                msg.sentAt = r.u64();
-                msg.nextRetry = r.u64();
-                msg.rto = r.u64();
-                msg.retries = r.u32();
-                queue->push_back(msg);
-            }
-        }
-    }
-    unreliableDelivered_ = r.u64();
-    for (uint32_t i = 0; i < kRetxHistogramBuckets; ++i) {
-        retxHistogram_[i] = r.u64();
-    }
-    fwAdmitted_ = r.u64();
-    fwRateLimited_ = r.u64();
-    fwInflightDenied_ = r.u64();
-    fwOversized_ = r.u64();
-    fwMalformed_ = r.u64();
-    fwStaleEpochs_ = r.u64();
-    fwQuarantineDrops_ = r.u64();
-    fwStrikes_ = r.u64();
-    fwQuarantines_ = r.u64();
-    fwDevices_.clear();
-    const uint32_t devCount = r.u32();
-    for (uint32_t i = 0; i < devCount && r.ok(); ++i) {
-        const uint32_t mac = r.u32();
-        FwDevice &dev = fwDevices_[mac];
-        dev.rule = static_cast<int32_t>(r.u32());
-        dev.quota = r.u32();
-        dev.tokens256 = r.u64();
-        dev.lastRefill = r.u64();
-        dev.strikes = r.u32();
-        dev.quarantined = r.b();
-    }
-    if (!fwLedger_.deserialize(r)) {
-        return false;
-    }
-    return r.ok();
 }
 
 } // namespace cheriot::net

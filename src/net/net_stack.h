@@ -54,6 +54,7 @@
 #include "net/fleet_frame.h"
 #include "net/nic_device.h"
 #include "rtos/compartment.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <deque>
@@ -66,12 +67,6 @@ namespace cheriot::rtos
 class Kernel;
 class Thread;
 } // namespace cheriot::rtos
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::net
 {
@@ -186,7 +181,7 @@ struct NetStackConfig
     FirewallConfig firewall;
 };
 
-class NetStack
+class NetStack : public snapshot::Serializable<NetStack>
 {
   public:
     /** Typed outcome of one RX slot refill. */
@@ -358,8 +353,23 @@ class NetStack
      * deterministic boot; this captures the dynamic state on top —
      * ring cursors, slot-table capabilities, ARQ peer state and
      * counters. @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v.expect(config_.rxRingEntries);
+        v.expect(config_.txRingEntries);
+        v(rxConsumed_, rxPosted_, pendingRefills_, txPosted_, txReaped_,
+          ackCountdown_, snapshot::fixed(rxSlots_), snapshot::fixed(txSlots_),
+          packetsAccepted_, bytesAccepted_, parseDrops_, consumerRejects_,
+          ringCorruptionsDetected_, refillFailures_, refillTimeouts_,
+          rxErrorsSeen_, acksSent_, txCompleted_, arqSent_, arqDelivered_,
+          arqDuplicatesDropped_, arqRetransmits_, arqAcksSent_,
+          arqAcksReceived_, arqPeerDeaths_, arqRejoins_, arqProbesSent_,
+          arqSendDrops_, wrongDest_, peers_, unreliableDelivered_,
+          retxHistogram_, fwAdmitted_, fwRateLimited_, fwInflightDenied_,
+          fwOversized_, fwMalformed_, fwStaleEpochs_, fwQuarantineDrops_,
+          fwStrikes_, fwQuarantines_, fwDevices_, fwLedger_);
+    }
     /** @} */
 
   private:
@@ -375,6 +385,12 @@ class NetStack
         uint64_t nextRetry = 0;
         uint64_t rto = 0;
         uint32_t retries = 0;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(seq, buf, len, sentAt, nextRetry, rto, retries);
+        }
     };
     /** Per-peer ARQ state (both directions). std::map / std::set keep
      * iteration — and therefore serialization — deterministic. */
@@ -392,6 +408,13 @@ class NetStack
         uint32_t rxBase = 0;
         uint32_t rxEpoch = 0;
         std::set<uint32_t> rxSeen;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(nextSeq, dead, lastHeard, nextProbe, rxBase, rxEpoch, rxSeen,
+              pending, backlog);
+        }
     };
 
     uint32_t mmioRead(rtos::CompartmentContext &ctx, uint32_t reg);
@@ -436,6 +459,12 @@ class NetStack
         uint64_t lastRefill = 0;
         uint32_t strikes = 0;
         bool quarantined = false;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(rule, quota, tokens256, lastRefill, strikes, quarantined);
+        }
     };
     FwDevice &fwDeviceFor(uint32_t src, uint32_t flowClass);
     /** Token-bucket + quota admission for one frame; charges @p len

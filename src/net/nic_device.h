@@ -28,15 +28,10 @@
 
 #include "mem/mmio.h"
 #include "mem/tagged_memory.h"
+#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <functional>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::fault
 {
@@ -46,7 +41,8 @@ class FaultInjector;
 namespace cheriot::net
 {
 
-class NicDevice : public mem::MmioDevice
+class NicDevice : public mem::MmioDevice,
+                  public snapshot::Serializable<NicDevice>
 {
   public:
     /** @name Register map (byte offsets within the MMIO window) @{ */
@@ -148,10 +144,15 @@ class NicDevice : public mem::MmioDevice
     uint32_t txChecksum() const { return txChecksum_; }
     /** @} */
 
-    /** @name Snapshot state (all registers and counters) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state (all registers and counters). */
+    template <class V>
+    void fields(V &v)
+    {
+        v(ctrl_, irqStatus_, irqEnable_, rxRingBase_, rxRingCount_, rxHead_,
+          rxTail_, dmaBase_, dmaSize_, txRingBase_, txRingCount_, txHead_,
+          txTail_, rxPackets_, rxBytes_, rxDrops_, rxErrors_, txPackets_,
+          txBytes_, txChecksum_, lastRxAddr_, lastRxBytes_);
+    }
 
   private:
     /** Entirely inside the DMA window and backed by SRAM? */

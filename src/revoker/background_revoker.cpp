@@ -2,7 +2,6 @@
 
 #include "cap/capability.h"
 #include "fault/fault_injector.h"
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::revoker
@@ -13,13 +12,7 @@ BackgroundRevoker::BackgroundRevoker(mem::TaggedMemory &sram,
                                      mem::BusWidth busWidth)
     : sram_(sram), bitmap_(bitmap), busWidth_(busWidth), stats_("hw_revoker")
 {
-    stats_.registerCounter("wordsExamined", wordsExamined);
-    stats_.registerCounter("tagsInvalidated", tagsInvalidated);
-    stats_.registerCounter("snoopReloads", snoopReloads);
-    stats_.registerCounter("portCycles", portCycles);
-    stats_.registerCounter("stallCycles", stallCycles);
-    stats_.registerCounter("kicksReceived", kicksReceived);
-    stats_.registerCounter("sweepsCompleted", sweepsCompleted);
+    snapshot::registerStats(stats_, *this);
 }
 
 bool
@@ -259,57 +252,6 @@ BackgroundRevoker::write32(uint32_t offset, uint32_t value)
       default:
         panic("background revoker: write of unknown register 0x%x", offset);
     }
-}
-
-void
-BackgroundRevoker::serialize(snapshot::Writer &w) const
-{
-    w.b(skipSecondHalf_);
-    w.b(completionInterrupt_);
-    w.b(irqPending_);
-    w.u32(startReg_);
-    w.u32(endReg_);
-    w.u32(epoch_);
-    w.u32(cursor_);
-    for (const Slot &slot : slots_) {
-        w.b(slot.valid);
-        w.u32(slot.addr);
-        w.u32(slot.beatsLeft);
-        w.b(slot.loaded);
-        w.b(slot.needsWriteback);
-    }
-    w.counter(wordsExamined);
-    w.counter(tagsInvalidated);
-    w.counter(snoopReloads);
-    w.counter(portCycles);
-    w.counter(stallCycles);
-    w.counter(kicksReceived);
-}
-
-bool
-BackgroundRevoker::deserialize(snapshot::Reader &r)
-{
-    skipSecondHalf_ = r.b();
-    completionInterrupt_ = r.b();
-    irqPending_ = r.b();
-    startReg_ = r.u32();
-    endReg_ = r.u32();
-    epoch_ = r.u32();
-    cursor_ = r.u32();
-    for (Slot &slot : slots_) {
-        slot.valid = r.b();
-        slot.addr = r.u32();
-        slot.beatsLeft = r.u32();
-        slot.loaded = r.b();
-        slot.needsWriteback = r.b();
-    }
-    r.counter(wordsExamined);
-    r.counter(tagsInvalidated);
-    r.counter(snoopReloads);
-    r.counter(portCycles);
-    r.counter(stallCycles);
-    r.counter(kicksReceived);
-    return r.ok();
 }
 
 } // namespace cheriot::revoker

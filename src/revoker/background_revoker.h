@@ -36,6 +36,7 @@
 #include "mem/mmio.h"
 #include "mem/tagged_memory.h"
 #include "revoker/revocation_bitmap.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 namespace cheriot::fault
@@ -111,10 +112,22 @@ class BackgroundRevoker : public mem::MmioDevice
      */
     void snoopStore(uint32_t addr, uint32_t bytes);
 
-    /** @name Snapshot state (window, epoch, cursor, in-flight slots) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state (window, epoch, cursor, in-flight slots) and
+     * counters. */
+    template <class V>
+    void fields(V &v)
+    {
+        v(skipSecondHalf_, completionInterrupt_, irqPending_, startReg_,
+          endReg_, epoch_, cursor_, slots_);
+        v.counter("wordsExamined", wordsExamined);
+        v.counter("tagsInvalidated", tagsInvalidated);
+        v.counter("snoopReloads", snoopReloads);
+        v.counter("portCycles", portCycles);
+        v.counter("stallCycles", stallCycles);
+        v.counter("kicksReceived", kicksReceived);
+        // The architectural sweep progress is the epoch.
+        v.stat("sweepsCompleted", sweepsCompleted);
+    }
 
     /** @name MmioDevice @{ */
     std::string name() const override { return "background-revoker"; }
@@ -128,9 +141,7 @@ class BackgroundRevoker : public mem::MmioDevice
     Counter portCycles;      ///< Memory-port cycles consumed.
     Counter stallCycles;     ///< Cycles lost to injected stalls.
     Counter kicksReceived;   ///< MMIO kicks observed.
-    /** Full sweep passes finished. Diagnostic only — not serialized
-     * (the architectural sweep progress is the epoch). */
-    Counter sweepsCompleted;
+    Counter sweepsCompleted; ///< Full sweep passes finished.
 
     StatGroup &stats() { return stats_; }
 
@@ -143,6 +154,12 @@ class BackgroundRevoker : public mem::MmioDevice
         uint32_t beatsLeft = 0; ///< Load beats still needed.
         bool loaded = false;    ///< Data fully loaded, awaiting check.
         bool needsWriteback = false;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(valid, addr, beatsLeft, loaded, needsWriteback);
+        }
     };
 
     void startSweep();

@@ -20,13 +20,8 @@
 
 #include "cap/capability.h"
 #include "revoker/revocation_bitmap.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {
@@ -37,8 +32,7 @@ class LoadFilter
     explicit LoadFilter(const RevocationBitmap *bitmap)
         : bitmap_(bitmap), stats_("load_filter")
     {
-        stats_.registerCounter("lookups", lookups);
-        stats_.registerCounter("invalidations", invalidations);
+        snapshot::registerStats(stats_, *this);
     }
 
     /** Enable/disable (benchmark configurations run with it off). */
@@ -62,10 +56,13 @@ class LoadFilter
         return loaded;
     }
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    template <class V>
+    void fields(V &v)
+    {
+        v(enabled_);
+        v.counter("lookups", lookups);
+        v.counter("invalidations", invalidations);
+    }
 
     StatGroup &stats() { return stats_; }
 

@@ -15,16 +15,11 @@
 #define CHERIOT_REVOKER_REVOCATION_BITMAP_H
 
 #include "mem/mmio.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
 #include <vector>
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {
@@ -70,10 +65,16 @@ class RevocationBitmap : public mem::MmioDevice
     /** Count of currently painted bits (diagnostics). */
     uint32_t paintedBits() const;
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state: the window geometry (checked) and the bits. */
+    template <class V>
+    void fields(V &v)
+    {
+        v.expect(heapBase_);
+        v.expect(heapSize_);
+        v.expect(granule_);
+        v(snapshot::fixed(words_));
+        v.stat("lookups", lookups);
+    }
 
     /** @name MmioDevice (the allocator's architectural window) @{ */
     std::string name() const override { return "revocation-bitmap"; }
@@ -81,8 +82,7 @@ class RevocationBitmap : public mem::MmioDevice
     void write32(uint32_t offset, uint32_t value) override;
     /** @} */
 
-    /** Revocation-bit lookups (load filter + revoker sweeps).
-     * Diagnostic only — not serialized. */
+    /** Revocation-bit lookups (load filter + revoker sweeps). */
     mutable Counter lookups;
 
     StatGroup &stats() { return stats_; }

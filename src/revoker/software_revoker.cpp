@@ -18,8 +18,7 @@ SoftwareRevoker::SoftwareRevoker(SweepPort &port, uint32_t sweepBase,
     if (unroll == 0 || unroll > 8) {
         fatal("unroll factor must be in 1..8");
     }
-    stats_.registerCounter("sweeps", sweeps);
-    stats_.registerCounter("wordsSwept", wordsSwept);
+    snapshot::registerStats(stats_, *this);
 }
 
 void
@@ -66,23 +65,6 @@ SoftwareRevoker::requestSweep()
 
     ++epoch_; // Sweep complete: epoch becomes even.
     sweeps++;
-}
-
-void
-SoftwareRevoker::serialize(snapshot::Writer &w) const
-{
-    w.u32(epoch_);
-    w.counter(sweeps);
-    w.counter(wordsSwept);
-}
-
-bool
-SoftwareRevoker::deserialize(snapshot::Reader &r)
-{
-    epoch_ = r.u32();
-    r.counter(sweeps);
-    r.counter(wordsSwept);
-    return r.ok();
 }
 
 } // namespace cheriot::revoker

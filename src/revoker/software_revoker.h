@@ -20,12 +20,6 @@
 
 #include <cstdint>
 
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::revoker
 {
 
@@ -83,11 +77,15 @@ class SoftwareRevoker : public Revoker
     void waitForCompletion() override {}
     const char *kind() const override { return "software"; }
 
-    /** @name Snapshot state (epoch + counters; sweeps themselves are
-     * synchronous, so none is ever in flight at a snapshot point) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state: epoch + counters (sweeps themselves are
+     * synchronous, so none is ever in flight at a snapshot point). */
+    template <class V>
+    void fields(V &v)
+    {
+        v(epoch_);
+        v.counter("sweeps", sweeps);
+        v.counter("wordsSwept", wordsSwept);
+    }
 
     Counter sweeps;      ///< Completed sweep passes.
     Counter wordsSwept;  ///< Capability words loaded + stored back.

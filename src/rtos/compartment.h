@@ -23,7 +23,6 @@
 #include "cap/capability.h"
 #include "rtos/guest_context.h"
 #include "sim/csr.h"
-#include "snapshot/serializer.h"
 
 #include <functional>
 #include <string>
@@ -193,34 +192,13 @@ struct FaultRecoveryState
     uint32_t allocFailuresSinceRestart = 0;
     /** @} */
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class V>
+    void fields(V &v)
     {
-        w.u32(faultsTotal);
-        w.u32(faultsSinceRestart);
-        w.b(quarantined);
-        w.u64(restartDueCycle);
-        w.u32(quarantines);
-        w.u32(restarts);
-        w.b(handlerActive);
-        w.u32(allocFailuresTotal);
-        w.u32(allocFailuresSinceRestart);
+        v(faultsTotal, faultsSinceRestart, quarantined, restartDueCycle,
+          quarantines, restarts, handlerActive, allocFailuresTotal,
+          allocFailuresSinceRestart);
     }
-
-    bool deserialize(snapshot::Reader &r)
-    {
-        faultsTotal = r.u32();
-        faultsSinceRestart = r.u32();
-        quarantined = r.b();
-        restartDueCycle = r.u64();
-        quarantines = r.u32();
-        restarts = r.u32();
-        handlerActive = r.b();
-        allocFailuresTotal = r.u32();
-        allocFailuresSinceRestart = r.u32();
-        return r.ok();
-    }
-    /** @} */
 };
 
 /** An exported cross-compartment entry point. */

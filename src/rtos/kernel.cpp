@@ -3,7 +3,6 @@
 #include "cap/sealing.h"
 #include "mem/memory_map.h"
 #include "rtos/audit.h"
-#include "snapshot/serializer.h"
 #include "util/log.h"
 #include "verify/reach.h"
 #include "verify/verifier.h"
@@ -566,121 +565,50 @@ Kernel::mallocWith(Thread &thread, const Capability &allocCap,
     return res.value;
 }
 
+template <class V>
 void
-Kernel::serialize(snapshot::Writer &w) const
+Kernel::fields(V &v)
 {
-    w.u32(static_cast<uint32_t>(threads_.size()));
-    for (const auto &thread : threads_) {
-        w.str(thread->name());
-        thread->serialize(w);
-    }
-    w.u32(static_cast<uint32_t>(compartments_.size()));
-    for (const auto &compartment : compartments_) {
-        w.str(compartment->name());
-        compartment->faultState().serialize(w);
-    }
-    watchdog_.serialize(w);
-    switcher_.serialize(w);
-    scheduler_->serialize(w);
-    w.b(softwareRevoker_ != nullptr);
-    if (softwareRevoker_ != nullptr) {
-        softwareRevoker_->serialize(w);
-    }
-    w.b(hardwareRevoker_ != nullptr);
-    if (hardwareRevoker_ != nullptr) {
-        w.counter(hardwareRevoker_->timeoutKicks);
-    }
-    w.b(allocator_ != nullptr);
-    if (allocator_ != nullptr) {
-        allocator_->serialize(w);
-    }
-    w.b(tokenLibrary_ != nullptr);
-    if (tokenLibrary_ != nullptr) {
-        tokenLibrary_->serialize(w);
-        w.cap(allocKey_);
-    }
-    w.b(objectCaps_ != nullptr);
-    if (objectCaps_ != nullptr) {
-        objectCaps_->serialize(w);
-    }
-}
-
-bool
-Kernel::deserialize(snapshot::Reader &r)
-{
-    if (r.u32() != threads_.size()) {
-        return false;
-    }
+    v.expect(static_cast<uint32_t>(threads_.size()));
     for (auto &thread : threads_) {
-        if (r.str() != thread->name() || !thread->deserialize(r)) {
-            return false;
-        }
+        v.expect(thread->name());
+        v(*thread);
     }
-    if (r.u32() != compartments_.size()) {
-        return false;
-    }
+    v.expect(static_cast<uint32_t>(compartments_.size()));
     for (auto &compartment : compartments_) {
-        if (r.str() != compartment->name() ||
-            !compartment->faultState().deserialize(r)) {
-            return false;
-        }
+        v.expect(compartment->name());
+        v(compartment->faultState());
     }
-    if (!watchdog_.deserialize(r) || !switcher_.deserialize(r) ||
-        !scheduler_->deserialize(r)) {
-        return false;
-    }
-    if (r.b() != (softwareRevoker_ != nullptr)) {
-        return false;
-    }
-    if (softwareRevoker_ != nullptr &&
-        !softwareRevoker_->deserialize(r)) {
-        return false;
-    }
-    if (r.b() != (hardwareRevoker_ != nullptr)) {
-        return false;
-    }
-    if (hardwareRevoker_ != nullptr) {
-        r.counter(hardwareRevoker_->timeoutKicks);
-    }
-    if (r.b() != (allocator_ != nullptr)) {
-        return false;
-    }
-    if (allocator_ != nullptr && !allocator_->deserialize(r)) {
-        return false;
-    }
-    if (r.b()) {
-        // The saving run had minted tokens: their boxes and records
-        // are already present in the restored heap image, so only the
+    v(watchdog_, switcher_, *scheduler_);
+    v.optional(softwareRevoker_.get());
+    v.optional(hardwareRevoker_.get());
+    v.optional(allocator_.get());
+
+    bool hasTokens = tokenLibrary_ != nullptr;
+    v(hasTokens);
+    if constexpr (V::kRestoring) {
+        // A restore with a side effect, so written out by hand: the
+        // saving run had minted tokens, whose boxes and records are
+        // already present in the restored heap image. Only the
         // host-side id counter and the kernel's key handle need to be
         // re-established — never re-mint (that would allocate).
-        if (allocator_ == nullptr) {
-            return false;
-        }
-        if (tokenLibrary_ == nullptr) {
+        if (hasTokens && tokenLibrary_ == nullptr && allocator_ != nullptr) {
             tokenLibrary_ = std::make_unique<TokenLibrary>(
-                guest_, *allocator_,
-                loader_.sealerFor(cap::kOtypeToken));
+                guest_, *allocator_, loader_.sealerFor(cap::kOtypeToken));
         }
-        if (!tokenLibrary_->deserialize(r)) {
-            return false;
-        }
-        allocKey_ = r.cap();
-    } else if (tokenLibrary_ != nullptr) {
-        return false;
+        v.require(hasTokens == (tokenLibrary_ != nullptr));
     }
-    if (r.b()) {
-        // The saving boot created the object-cap table before the
-        // snapshot; an identically booted kernel has it too (its
-        // records and token boxes already live in the restored heap
-        // image). A missing table means a structurally different
-        // boot: refuse.
-        if (objectCaps_ == nullptr || !objectCaps_->deserialize(r)) {
-            return false;
-        }
-    } else if (objectCaps_ != nullptr) {
-        return false;
+    if (hasTokens && tokenLibrary_ != nullptr) {
+        v(*tokenLibrary_, allocKey_);
     }
-    return r.ok();
+    // The saving boot created the object-cap table before the
+    // snapshot; an identically booted kernel has it too (its records
+    // and token boxes already live in the restored heap image). A
+    // missing table means a structurally different boot: refuse.
+    v.optional(objectCaps_.get());
 }
+
+template void Kernel::fields(snapshot::Writer &);
+template void Kernel::fields(snapshot::Reader &);
 
 } // namespace cheriot::rtos

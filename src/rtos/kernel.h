@@ -21,6 +21,7 @@
 #include "rtos/thread.h"
 #include "rtos/token_library.h"
 #include "rtos/watchdog.h"
+#include "snapshot/serializer.h"
 
 #include <memory>
 #include <vector>
@@ -56,6 +57,12 @@ class HardwareRevokerHandle : public revoker::Revoker
 
     Counter timeoutKicks; ///< Recovery kicks issued by the waiter.
 
+    template <class V>
+    void fields(V &v)
+    {
+        v(timeoutKicks);
+    }
+
   private:
     GuestContext &guest_;
     Scheduler &scheduler_;
@@ -64,7 +71,7 @@ class HardwareRevokerHandle : public revoker::Revoker
     uint32_t sweepEnd_;
 };
 
-class Kernel
+class Kernel : public snapshot::Serializable<Kernel>
 {
   public:
     explicit Kernel(sim::Machine &machine);
@@ -249,8 +256,8 @@ class Kernel
      * called on a kernel booted identically to the one that saved,
      * and verifies the structural fingerprint (counts and names)
      * before restoring. @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v);
     /** @} */
 
   private:

@@ -37,6 +37,7 @@
 #include "alloc/heap_allocator.h"
 #include "rtos/guest_context.h"
 #include "rtos/token_library.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <cstdint>
@@ -46,12 +47,6 @@ namespace cheriot::fault
 {
 class FaultInjector;
 }
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::rtos
 {
 
@@ -231,11 +226,22 @@ class ObjectCapTable final : public TimeAuthority,
         injector_ = injector;
     }
 
-    /** @name Snapshot state (entries, tree links, pending revocations
-     * and counters; record/token boxes ride the machine image) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    /** Snapshot state (entries, tree links, pending revocations and
+     * counters; record/token boxes ride the machine image). */
+    template <class V>
+    void fields(V &v)
+    {
+        v(key_, entries_, pending_);
+        v.counter("capsMinted", capsMinted);
+        v.counter("capsDerived", capsDerived);
+        v.counter("capsTransferred", capsTransferred);
+        v.counter("revocations", revocations);
+        v.counter("descendantsRevoked", descendantsRevoked);
+        v.counter("scheduledRevocations", scheduledRevocations);
+        v.counter("staleTokensRefused", staleTokensRefused);
+        v.counter("invalidTokensRefused", invalidTokensRefused);
+        v.counter("corruptEntriesRefused", corruptEntriesRefused);
+    }
 
     Counter capsMinted;          ///< Root capabilities minted.
     Counter capsDerived;         ///< Children derived.
@@ -274,12 +280,26 @@ class ObjectCapTable final : public TimeAuthority,
         cap::Capability record;
         /** The sealed token itself (kept for reclaim()). */
         cap::Capability token;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(snapshot::as<uint8_t>(type), alive, reclaimed, parent,
+              ownerIndex, children, begin, mark, end, queue, canSend,
+              canReceive, target, canary, record, token);
+        }
     };
 
     struct PendingRevoke
     {
-        uint64_t atCycle;
-        uint32_t id;
+        uint64_t atCycle = 0;
+        uint32_t id = 0;
+
+        template <class V>
+        void fields(V &v)
+        {
+            v(atCycle, id);
+        }
     };
 
     uint32_t canaryOf(const Entry &entry, uint32_t id) const;

@@ -21,6 +21,7 @@
 #include "rtos/guest_context.h"
 #include "rtos/object_cap.h"
 #include "rtos/thread.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <functional>
@@ -43,11 +44,7 @@ class Scheduler
                        cap::Capability contextSaveArea)
         : guest_(guest), saveArea_(contextSaveArea)
     {
-        stats_.registerCounter("contextSwitches", contextSwitches);
-        stats_.registerCounter("idleCycles", idleCycleCount);
-        stats_.registerCounter("busyCycles", busyCycleCount);
-        stats_.registerCounter("admissionDeferrals", admissionDeferrals);
-        stats_.registerCounter("timeCapDeferrals", timeCapDeferrals);
+        snapshot::registerStats(stats_, *this);
     }
 
     /**
@@ -141,8 +138,27 @@ class Scheduler
      * deterministic boot); only each task's next-due deadline and the
      * accounting counters are dynamic. Deserialization requires the
      * same task list (count, names and periods) to be registered. @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v.expect(static_cast<uint32_t>(tasks_.size()));
+        for (Task &task : tasks_) {
+            v.expect(task.name);
+            // A period mismatch means the resuming process registered
+            // a *different* schedule (e.g. a horizon-dependent one-shot
+            // period): its restored absolute deadline would silently
+            // fire at the wrong time. Refuse up front instead.
+            v.expect(task.periodCycles);
+            v(task.nextDue);
+        }
+        v.counter("contextSwitches", contextSwitches);
+        v.counter("idleCycles", idleCycleCount);
+        v.counter("busyCycles", busyCycleCount);
+        v.counter("admissionDeferrals", admissionDeferrals);
+        v.counter("timeCapDeferrals", timeCapDeferrals);
+        v(slotCycles_);
+        v.require(slotCycles_ != 0);
+    }
     /** @} */
 
     Counter contextSwitches;

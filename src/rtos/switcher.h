@@ -23,6 +23,7 @@
 #include "rtos/compartment.h"
 #include "rtos/guest_context.h"
 #include "rtos/thread.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 #include <map>
@@ -55,13 +56,7 @@ class Switcher
 
     explicit Switcher(GuestContext &guest) : guest_(guest)
     {
-        stats_.registerCounter("calls", calls);
-        stats_.registerCounter("faults", calleeFaults);
-        stats_.registerCounter("bytesZeroed", bytesZeroed);
-        stats_.registerCounter("handlerInvocations", handlerInvocations);
-        stats_.registerCounter("forcedUnwindFrames", forcedUnwindFrames);
-        stats_.registerCounter("rejectedCalls", rejectedCalls);
-        stats_.registerCounter("compartmentSwitches", compartmentSwitches);
+        snapshot::registerStats(stats_, *this);
     }
 
     /**
@@ -72,10 +67,17 @@ class Switcher
     CallResult call(Kernel &kernel, Thread &thread, const Import &import,
                     ArgVec &args, const cap::Capability &trustedStackCap);
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    template <class V>
+    void fields(V &v)
+    {
+        v.counter("calls", calls);
+        v.counter("faults", calleeFaults);
+        v.counter("bytesZeroed", bytesZeroed);
+        v.counter("handlerInvocations", handlerInvocations);
+        v.counter("forcedUnwindFrames", forcedUnwindFrames);
+        v.counter("rejectedCalls", rejectedCalls);
+        v.stat("compartmentSwitches", compartmentSwitches);
+    }
 
     Counter calls;
     Counter calleeFaults;
@@ -84,7 +86,7 @@ class Switcher
     Counter forcedUnwindFrames; ///< Frames unwound past forcibly.
     Counter rejectedCalls;      ///< Fast-failed (unwind/quarantine).
     /** Compartment transitions observed (call entry + return each
-     * count one). Diagnostic only — not serialized. */
+     * count one). */
     Counter compartmentSwitches;
 
     StatGroup &stats() { return stats_; }

@@ -78,27 +78,11 @@ class Thread
 
     /** @name Snapshot state (dynamic fields only; identity, stack
      * geometry and the stack root are boot-time constants) @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class V>
+    void fields(V &v)
     {
-        w.u32(sp_);
-        w.u32(callDepth_);
-        w.b(unwinding_);
-        w.u32(static_cast<uint32_t>(unwindCause_));
-        w.counter(crossCompartmentCalls);
-        w.counter(stackBytesZeroed);
-        w.counter(forcedUnwinds);
-    }
-
-    bool deserialize(snapshot::Reader &r)
-    {
-        sp_ = r.u32();
-        callDepth_ = r.u32();
-        unwinding_ = r.b();
-        unwindCause_ = static_cast<sim::TrapCause>(r.u32());
-        r.counter(crossCompartmentCalls);
-        r.counter(stackBytesZeroed);
-        r.counter(forcedUnwinds);
-        return r.ok();
+        v(sp_, callDepth_, unwinding_, snapshot::as<uint32_t>(unwindCause_),
+          crossCompartmentCalls, stackBytesZeroed, forcedUnwinds);
     }
     /** @} */
 

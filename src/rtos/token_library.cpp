@@ -1,6 +1,5 @@
 #include "rtos/token_library.h"
 
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::rtos
@@ -123,19 +122,6 @@ TokenLibrary::destroy(const Capability &key, const Capability &token)
         return false;
     }
     return allocator_.free(*box) == alloc::HeapAllocator::FreeResult::Ok;
-}
-
-void
-TokenLibrary::serialize(snapshot::Writer &w) const
-{
-    w.u32(nextKeyId_);
-}
-
-bool
-TokenLibrary::deserialize(snapshot::Reader &r)
-{
-    nextKeyId_ = r.u32();
-    return r.ok() && nextKeyId_ >= 1;
 }
 
 } // namespace cheriot::rtos

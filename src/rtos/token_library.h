@@ -30,12 +30,6 @@
 #include "alloc/heap_allocator.h"
 #include "rtos/guest_context.h"
 
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::rtos
 {
 
@@ -87,8 +81,12 @@ class TokenLibrary
     /** @name Snapshot state (box contents live in simulated heap
      * memory and ride the machine image; only the id counter is
      * host-side) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v(nextKeyId_);
+        v.require(nextKeyId_ >= 1);
+    }
     /** @} */
 
   private:

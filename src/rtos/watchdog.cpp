@@ -1,6 +1,5 @@
 #include "rtos/watchdog.h"
 
-#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::rtos
@@ -147,39 +146,6 @@ Watchdog::requestRestart(const cap::Capability &monitorCap,
     restart(target);
     monitorActionsGranted++;
     return CapResult::Ok;
-}
-
-void
-Watchdog::serialize(snapshot::Writer &w) const
-{
-    w.u32(policy_.faultBudget);
-    w.u64(policy_.restartDelayCycles);
-    w.u32(policy_.allocFailureBudget);
-    w.counter(faultsObserved);
-    w.counter(quarantines);
-    w.counter(restarts);
-    w.counter(rejectedCalls);
-    w.counter(allocFailuresObserved);
-    w.counter(overloadQuarantines);
-    w.counter(monitorActionsGranted);
-    w.counter(monitorActionsRefused);
-}
-
-bool
-Watchdog::deserialize(snapshot::Reader &r)
-{
-    policy_.faultBudget = r.u32();
-    policy_.restartDelayCycles = r.u64();
-    policy_.allocFailureBudget = r.u32();
-    r.counter(faultsObserved);
-    r.counter(quarantines);
-    r.counter(restarts);
-    r.counter(rejectedCalls);
-    r.counter(allocFailuresObserved);
-    r.counter(overloadQuarantines);
-    r.counter(monitorActionsGranted);
-    r.counter(monitorActionsRefused);
-    return r.ok();
 }
 
 } // namespace cheriot::rtos

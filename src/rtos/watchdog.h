@@ -25,6 +25,7 @@
 #include "rtos/compartment.h"
 #include "rtos/guest_context.h"
 #include "rtos/object_cap.h"
+#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 namespace cheriot::rtos
@@ -55,18 +56,7 @@ class Watchdog
 
     explicit Watchdog(GuestContext &guest) : guest_(guest)
     {
-        stats_.registerCounter("faultsObserved", faultsObserved);
-        stats_.registerCounter("quarantines", quarantines);
-        stats_.registerCounter("restarts", restarts);
-        stats_.registerCounter("rejectedCalls", rejectedCalls);
-        stats_.registerCounter("allocFailuresObserved",
-                               allocFailuresObserved);
-        stats_.registerCounter("overloadQuarantines",
-                               overloadQuarantines);
-        stats_.registerCounter("monitorActionsGranted",
-                               monitorActionsGranted);
-        stats_.registerCounter("monitorActionsRefused",
-                               monitorActionsRefused);
+        snapshot::registerStats(stats_, *this);
     }
 
     const Policy &policy() const { return policy_; }
@@ -131,8 +121,20 @@ class Watchdog
 
     /** @name Snapshot state (policy + counters; per-compartment fault
      * state is serialized with each Compartment) @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v(policy_.faultBudget, policy_.restartDelayCycles,
+          policy_.allocFailureBudget);
+        v.counter("faultsObserved", faultsObserved);
+        v.counter("quarantines", quarantines);
+        v.counter("restarts", restarts);
+        v.counter("rejectedCalls", rejectedCalls);
+        v.counter("allocFailuresObserved", allocFailuresObserved);
+        v.counter("overloadQuarantines", overloadQuarantines);
+        v.counter("monitorActionsGranted", monitorActionsGranted);
+        v.counter("monitorActionsRefused", monitorActionsRefused);
+    }
     /** @} */
 
     Counter faultsObserved;

@@ -21,12 +21,6 @@
 
 #include <cstdint>
 
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
-
 namespace cheriot::sim
 {
 
@@ -111,10 +105,12 @@ class CsrFile
     /** Does access to @p csr require the SR permission? */
     static bool requiresSystemRegs(uint16_t csr);
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
-    /** @} */
+    template <class V>
+    void fields(V &v)
+    {
+        v(mie, mpie, mcause, mtval, mshwm, mshwmb, mtcc, mtdc, mscratchc,
+          mepcc);
+    }
 
     cap::Capability *scr(isa::Scr which);
 };

@@ -226,6 +226,9 @@ class FleetNode
     void onDelivered(uint32_t srcMac, uint32_t msgId,
                      uint32_t sentRound);
     void captureBaseline();
+    /** The "fleet" section: device, stack and traffic state. */
+    template <class V>
+    void fleetFields(V &v);
 
     FleetConfig config_;
     uint32_t id_;

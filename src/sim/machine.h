@@ -46,8 +46,6 @@ class RunControl;
 
 namespace cheriot::snapshot
 {
-class Writer;
-class Reader;
 class SnapshotWriter;
 class SnapshotReader;
 struct SnapshotImage;
@@ -69,8 +67,11 @@ class ConsoleDevice : public mem::MmioDevice
     uint32_t exitCode() const { return exitCode_; }
     void reset();
 
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v(output_, exitRequested_, exitCode_);
+    }
 
   private:
     std::string output_;
@@ -93,8 +94,11 @@ class TimerDevice : public mem::MmioDevice
     }
     void disarm() { armed_ = false; }
 
-    void serialize(snapshot::Writer &w) const;
-    bool deserialize(snapshot::Reader &r);
+    template <class V>
+    void fields(V &v)
+    {
+        v(now_, compare_, armed_);
+    }
 
   private:
     uint64_t now_ = 0;
@@ -307,10 +311,7 @@ class Machine
     Counter capLoads;
     Counter capStores;
     Counter traps_;
-    /** Decode-cache fills. Diagnostic only — deliberately not
-     * serialized: fills happen at restore-history-dependent points
-     * (see decodeAt), so a resumed run legitimately diverges here. */
-    Counter decodeFills;
+    Counter decodeFills; ///< Decode-cache fills.
 
   private:
     friend class Executor;
@@ -318,6 +319,15 @@ class Machine
     void execute(const isa::Inst &inst, uint32_t pc);
     bool takePendingInterrupt();
     const isa::Inst &decodeAt(uint32_t pc);
+
+    /** The image's sections in order, each a name and the fields it
+     * holds: save() writes them and restore() reads them back. */
+    template <class S>
+    void sections(S &&section);
+    /** The "cpu" section; its named counters are this machine's
+     * stats group. */
+    template <class V>
+    void cpuFields(V &v);
 
     /** Common access validation; returns None when allowed. */
     TrapCause checkAccess(const cap::Capability &auth, uint32_t addr,

@@ -163,11 +163,22 @@ Reader::skip(size_t size)
     }
 }
 
+uint32_t
+Reader::count(size_t minBytes)
+{
+    const uint32_t n = u32();
+    if (n > remaining() / minBytes) {
+        ok_ = false;
+        return 0;
+    }
+    return n;
+}
+
 std::string
 Reader::str()
 {
-    const uint32_t size = u32();
-    if (!take(size)) {
+    const uint32_t size = count(1);
+    if (!ok_) {
         return {};
     }
     std::string value(reinterpret_cast<const char *>(data_ + offset_),

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cheriot::snapshot
@@ -85,6 +86,14 @@ class SnapshotWriter
     /** Finish the current section (computes its CRC). */
     void endSection();
 
+    /** Start section @p name holding @p fields (components, values or
+     * field-group callables, see Writer). */
+    template <class... T>
+    void saveSection(const std::string &name, const T &...fields)
+    {
+        beginSection(name)(fields...);
+    }
+
     /** Seal the image (appends the whole-image CRC). */
     SnapshotImage finish();
 
@@ -125,6 +134,16 @@ class SnapshotReader
     /** Reader over a section's payload; overruns latch on a missing
      * section so callers can check Reader::ok() uniformly. */
     Reader section(const std::string &name) const;
+
+    /** Restore @p fields from section @p name: true only when the
+     * section is present and the fields consume it exactly. */
+    template <class... T>
+    bool restoreSection(const std::string &name, T &&...fields) const
+    {
+        Reader r = section(name);
+        r(std::forward<T>(fields)...);
+        return r.exhausted();
+    }
 
   private:
     struct Entry

@@ -106,23 +106,12 @@ class Rng
         return below(denom) < numer;
     }
 
-    /** @name Raw state access, for snapshot save/restore only. @{ */
-    constexpr void
-    getState(uint32_t out[4]) const
+    /** Snapshot state: the four state words. */
+    template <class V>
+    void fields(V &v)
     {
-        for (int i = 0; i < 4; ++i) {
-            out[i] = state_[i];
-        }
+        v(state_);
     }
-
-    constexpr void
-    setState(const uint32_t in[4])
-    {
-        for (int i = 0; i < 4; ++i) {
-            state_[i] = in[i];
-        }
-    }
-    /** @} */
 
   private:
     static constexpr uint32_t

@@ -248,21 +248,15 @@ runIotApp(const IotAppConfig &config)
     // host-side workload models — including the NIC's registers and
     // the stack's ring cursors / slot capabilities, which are not
     // part of the machine image.
+    const auto workloadState = [&](auto &v) {
+        v(session, vm, source, nic, stack, frameSeq,
+          result.handshakeCompleted);
+    };
     const auto takeCheckpoint = [&] {
         snapshot::SnapshotWriter out;
         machine.save(out);
-        snapshot::Writer &kw = out.beginSection("kernel");
-        kernel.serialize(kw);
-        out.endSection();
-        snapshot::Writer &iw = out.beginSection("iot");
-        session.serialize(iw);
-        vm.serialize(iw);
-        source.serialize(iw);
-        nic.serialize(iw);
-        stack.serialize(iw);
-        iw.u32(frameSeq);
-        iw.b(result.handshakeCompleted);
-        out.endSection();
+        out.saveSection("kernel", kernel);
+        out.saveSection("iot", workloadState);
         return out.finish();
     };
 
@@ -272,20 +266,11 @@ runIotApp(const IotAppConfig &config)
             fatal("iot: resume image rejected by the machine (%s)",
                   in.error().c_str());
         }
-        snapshot::Reader kr = in.section("kernel");
-        if (!kernel.deserialize(kr) || !kr.exhausted()) {
+        if (!in.restoreSection("kernel", kernel)) {
             fatal("iot: resume image rejected by the kernel");
         }
-        snapshot::Reader ir = in.section("iot");
-        if (!session.deserialize(ir) || !vm.deserialize(ir) ||
-            !source.deserialize(ir) || !nic.deserialize(ir) ||
-            !stack.deserialize(ir)) {
+        if (!in.restoreSection("iot", workloadState)) {
             fatal("iot: resume image rejected by the workload");
-        }
-        frameSeq = ir.u32();
-        result.handshakeCompleted = ir.b();
-        if (!ir.exhausted()) {
-            fatal("iot: trailing bytes in the workload section");
         }
     }
     if (config.preRunSnapshotOut != nullptr) {

@@ -24,7 +24,6 @@
 #define CHERIOT_WORKLOADS_IOT_MICROVM_H
 
 #include "rtos/compartment.h"
-#include "snapshot/serializer.h"
 
 #include <cstdint>
 #include <vector>
@@ -99,34 +98,11 @@ class MicroVm
     /** @name Snapshot state (the program bytecode is a boot-time
      * constant; live object handles are capabilities into the
      * snapshotted heap, so they stay valid across restore) @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class V>
+    void fields(V &v)
     {
-        w.u32(static_cast<uint32_t>(liveObjects_.size()));
-        for (const auto &object : liveObjects_) {
-            w.cap(object);
-        }
-        w.u32(ledState_);
-        w.u64(ticks_);
-        w.u64(objectsAllocated_);
-        w.u64(gcPasses_);
-        w.u64(failedTicks_);
-    }
-    bool deserialize(snapshot::Reader &r)
-    {
-        const uint32_t count = r.u32();
-        if (count > r.remaining() / 9) { // 9 bytes per capability
-            return false;
-        }
-        liveObjects_.assign(count, cap::Capability());
-        for (auto &object : liveObjects_) {
-            object = r.cap();
-        }
-        ledState_ = r.u32();
-        ticks_ = r.u64();
-        objectsAllocated_ = r.u64();
-        gcPasses_ = r.u64();
-        failedTicks_ = r.u64();
-        return r.ok();
+        v(liveObjects_, ledState_, ticks_, objectsAllocated_, gcPasses_,
+          failedTicks_);
     }
     /** @} */
 

@@ -15,7 +15,6 @@
 #ifndef CHERIOT_WORKLOADS_IOT_PACKET_SOURCE_H
 #define CHERIOT_WORKLOADS_IOT_PACKET_SOURCE_H
 
-#include "snapshot/serializer.h"
 #include "util/rng.h"
 
 #include <cstdint>
@@ -61,30 +60,11 @@ class PacketSource
 
     /** @name Snapshot state (PRNG stream, pending arrival, sequence
      * counter — everything the arrival process depends on) @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class V>
+    void fields(V &v)
     {
-        uint32_t state[4];
-        rng_.getState(state);
-        for (uint32_t word : state) {
-            w.u32(word);
-        }
-        w.u64(next_.arrivalCycle);
-        w.u32(next_.bytes);
-        w.b(next_.isPayloadFetch);
-        w.u32(sequence_);
-    }
-    bool deserialize(snapshot::Reader &r)
-    {
-        uint32_t state[4];
-        for (uint32_t &word : state) {
-            word = r.u32();
-        }
-        rng_.setState(state);
-        next_.arrivalCycle = r.u64();
-        next_.bytes = r.u32();
-        next_.isPayloadFetch = r.b();
-        sequence_ = r.u32();
-        return r.ok();
+        v(rng_, next_.arrivalCycle, next_.bytes, next_.isPayloadFetch,
+          sequence_);
     }
     /** @} */
 

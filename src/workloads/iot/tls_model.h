@@ -22,7 +22,6 @@
 #define CHERIOT_WORKLOADS_IOT_TLS_MODEL_H
 
 #include "rtos/compartment.h"
-#include "snapshot/serializer.h"
 
 #include <cstdint>
 
@@ -53,19 +52,11 @@ class TlsSession
     bool established() const { return established_; }
     uint64_t recordsProcessed() const { return records_; }
 
-    /** @name Snapshot state @{ */
-    void serialize(snapshot::Writer &w) const
+    template <class V>
+    void fields(V &v)
     {
-        w.b(established_);
-        w.u64(records_);
+        v(established_, records_);
     }
-    bool deserialize(snapshot::Reader &r)
-    {
-        established_ = r.b();
-        records_ = r.u64();
-        return r.ok();
-    }
-    /** @} */
 
   private:
     bool established_ = false;
