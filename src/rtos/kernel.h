@@ -10,6 +10,7 @@
 #define CHERIOT_RTOS_KERNEL_H
 
 #include "alloc/heap_allocator.h"
+#include "cap/sealing.h"
 #include "revoker/software_revoker.h"
 #include "rtos/compartment.h"
 #include "rtos/guest_context.h"
@@ -298,6 +299,49 @@ class Kernel : public snapshot::Serializable<Kernel>
                                  uint32_t size, alloc::AllocResult *out);
     /** @} */
 };
+
+template <class V>
+void
+Kernel::fields(V &v)
+{
+    v.expect(static_cast<uint32_t>(threads_.size()));
+    for (auto &thread : threads_) {
+        v.expect(thread->name());
+        v(*thread);
+    }
+    v.expect(static_cast<uint32_t>(compartments_.size()));
+    for (auto &compartment : compartments_) {
+        v.expect(compartment->name());
+        v(compartment->faultState());
+    }
+    v(watchdog_, switcher_, *scheduler_);
+    v.optional(softwareRevoker_.get());
+    v.optional(hardwareRevoker_.get());
+    v.optional(allocator_.get());
+
+    bool hasTokens = tokenLibrary_ != nullptr;
+    v(hasTokens);
+    if constexpr (V::kRestoring) {
+        // A restore with a side effect, so written out by hand: the
+        // saving run had minted tokens, whose boxes and records are
+        // already present in the restored heap image. Only the
+        // host-side id counter and the kernel's key handle need to be
+        // re-established — never re-mint (that would allocate).
+        if (hasTokens && tokenLibrary_ == nullptr && allocator_ != nullptr) {
+            tokenLibrary_ = std::make_unique<TokenLibrary>(
+                guest_, *allocator_, loader_.sealerFor(cap::kOtypeToken));
+        }
+        v.require(hasTokens == (tokenLibrary_ != nullptr));
+    }
+    if (hasTokens && tokenLibrary_ != nullptr) {
+        v(*tokenLibrary_, allocKey_);
+    }
+    // The saving boot created the object-cap table before the
+    // snapshot; an identically booted kernel has it too (its records
+    // and token boxes already live in the restored heap image). A
+    // missing table means a structurally different boot: refuse.
+    v.optional(objectCaps_.get());
+}
 
 } // namespace cheriot::rtos
 
