@@ -42,14 +42,31 @@ HardwareRevokerHandle::waitForCompletion()
 {
     // Waiting with a watchdog timeout: a revoker that stops making
     // progress (stalled pipeline, stuck epoch) would otherwise block
-    // the allocator forever. After kStallTimeoutPolls the waiter
+    // the allocator forever. After kStallTimeoutPolls consecutive
+    // polls in which neither the epoch nor the engine's examined-word
+    // count moved (the malloc backoff's progress rule), the waiter
     // kicks the engine through its MMIO kick register — the reset of
-    // the engine's control path — and resumes waiting.
+    // the engine's control path — and resumes waiting. A long but
+    // healthy sweep is never kicked.
+    const revoker::BackgroundRevoker &engine =
+        guest_.machine().backgroundRevoker();
     uint32_t kicks = 0;
     while (sweepInProgress()) {
-        uint32_t polls = 0;
-        scheduler_.blockUntil([this, &polls] {
-            return !sweepInProgress() || ++polls > kStallTimeoutPolls;
+        uint32_t stalePolls = 0;
+        uint64_t wordsSeen = engine.wordsExamined.value();
+        uint32_t epochSeen = engine.epoch();
+        scheduler_.blockUntil([&] {
+            if (!sweepInProgress()) {
+                return true;
+            }
+            if (engine.wordsExamined.value() != wordsSeen ||
+                engine.epoch() != epochSeen) {
+                wordsSeen = engine.wordsExamined.value();
+                epochSeen = engine.epoch();
+                stalePolls = 0;
+                return false;
+            }
+            return ++stalePolls > kStallTimeoutPolls;
         });
         if (!sweepInProgress()) {
             break;

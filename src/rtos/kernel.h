@@ -46,9 +46,10 @@ class HardwareRevokerHandle : public revoker::Revoker
           sweepBase_(sweepBase), sweepEnd_(sweepEnd)
     {}
 
-    /** Polls of the completion predicate before the wait loop
-     * suspects a wedged engine and kicks it (each poll costs
-     * Scheduler::blockUntil's poll window of idle cycles). */
+    /** Consecutive polls without progress (epoch and examined-word
+     * count both unchanged) before the wait loop suspects a wedged
+     * engine and kicks it (each poll costs Scheduler::blockUntil's
+     * poll window of idle cycles). */
     static constexpr uint32_t kStallTimeoutPolls = 64;
 
     uint32_t epoch() const override;

@@ -148,11 +148,12 @@ TEST(RevokerStress, LiveDataSurvivesHundredsOfConcurrentSweeps)
  * under memory pressure whose only way forward is a completed sweep. */
 struct PressureRig
 {
-    explicit PressureRig(fault::FaultInjector *injector)
+    explicit PressureRig(fault::FaultInjector *injector,
+                         uint32_t sramSize = 96u << 10)
     {
         sim::MachineConfig config;
         config.core = sim::CoreConfig::ibex();
-        config.sramSize = 96u << 10;
+        config.sramSize = sramSize;
         config.heapOffset = 32u << 10;
         config.heapSize = 64u << 10;
         config.injector = injector;
@@ -230,6 +231,22 @@ TEST(RevokerStress, StuckEpochRecoversViaTimeoutKick)
     EXPECT_GE(injector.kicksObserved.value(), 1u);
     EXPECT_FALSE(rig.kernel->hardwareRevoker()->sweepInProgress())
         << "the kick let the completion become visible";
+}
+
+TEST(RevokerStress, HealthyLongSweepIsNeverKicked)
+{
+    // No injector, and a sweep over 512 KiB of SRAM: it takes far more
+    // than kStallTimeoutPolls poll windows, but the engine moves on
+    // every one of them, so the waiter must not suspect a stall.
+    PressureRig rig(nullptr, 512u << 10);
+    const Capability ptr = rig.kernel->allocator().malloc(1024);
+    ASSERT_TRUE(ptr.tag());
+    const auto &engine = rig.machine->backgroundRevoker();
+    EXPECT_GE(engine.sweepsCompleted.value(), 1u);
+    EXPECT_GE(engine.wordsExamined.value(), (512u << 10) / 8);
+    EXPECT_EQ(rig.kernel->hardwareRevoker()->timeoutKicks.value(), 0u);
+    EXPECT_EQ(engine.kicksReceived.value(), engine.sweepsCompleted.value())
+        << "one kick per requested sweep, none from the watchdog";
 }
 
 TEST(Fig4Timing, LoadFilterIsFreeOnFluteAndCostsTwoCyclesOnIbex)
