@@ -4,6 +4,7 @@
 #include "mem/tagged_memory.h"
 #include "revoker/revocation_bitmap.h"
 #include "sim/csr.h"
+#include "snapshot/serializer.h"
 #include "util/log.h"
 
 #include <algorithm>

@@ -35,7 +35,6 @@
 #ifndef CHERIOT_FAULT_FAULT_INJECTOR_H
 #define CHERIOT_FAULT_FAULT_INJECTOR_H
 
-#include "snapshot/serializer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 

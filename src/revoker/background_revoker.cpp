@@ -2,6 +2,7 @@
 
 #include "cap/capability.h"
 #include "fault/fault_injector.h"
+#include "snapshot/serializer.h"
 #include "util/log.h"
 
 namespace cheriot::revoker

@@ -36,19 +36,12 @@
 #include "mem/mmio.h"
 #include "mem/tagged_memory.h"
 #include "revoker/revocation_bitmap.h"
-#include "snapshot/serializer.h"
 #include "util/stats.h"
 
 namespace cheriot::fault
 {
 class FaultInjector;
 }
-
-namespace cheriot::snapshot
-{
-class Writer;
-class Reader;
-} // namespace cheriot::snapshot
 
 namespace cheriot::revoker
 {

@@ -147,7 +147,8 @@ minWireBytes()
 }
 
 template <class C>
-using ElementOf = std::remove_cvref_t<decltype(*std::begin(std::declval<C &>()))>;
+using ElementOf =
+    std::remove_cvref_t<decltype(*std::begin(std::declval<C &>()))>;
 
 /** Contiguous byte sequences move as one block. */
 template <class C>
