@@ -49,6 +49,67 @@ BM_BoundsDecode(benchmark::State &state)
 }
 BENCHMARK(BM_BoundsDecode);
 
+/** Address moves inside the decode window: the cached bounds hold. */
+void
+BM_WithAddressInWindow(benchmark::State &state)
+{
+    const cap::Capability c =
+        cap::Capability::memoryRoot().withAddress(0x20001000).withBounds(
+            4096);
+    uint32_t addr = 0x20001000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(c.withAddress(addr));
+        addr += 8;
+        if (addr >= 0x20002000) {
+            addr = 0x20001000;
+        }
+    }
+}
+BENCHMARK(BM_WithAddressInWindow);
+
+/** Address moves out of the decode window: each one re-decodes. */
+void
+BM_WithAddressLeavesWindow(benchmark::State &state)
+{
+    const cap::Capability c =
+        cap::Capability::memoryRoot().withAddress(0x20000100).withBounds(
+            256);
+    uint32_t addr = 0x30000000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(c.withAddress(addr));
+        addr += 0x1000;
+    }
+}
+BENCHMARK(BM_WithAddressLeavesWindow);
+
+void
+BM_InBounds(benchmark::State &state)
+{
+    const cap::Capability c =
+        cap::Capability::memoryRoot().withAddress(0x20001000).withBounds(
+            4096);
+    uint32_t addr = 0x20000ff0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(c.inBounds(addr, 4));
+        addr += 4;
+        if (addr >= 0x20002010) {
+            addr = 0x20000ff0;
+        }
+    }
+}
+BENCHMARK(BM_InBounds);
+
+void
+BM_FromInt(benchmark::State &state)
+{
+    uint32_t value = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cap::Capability::fromInt(value));
+        value += 0x101;
+    }
+}
+BENCHMARK(BM_FromInt);
+
 void
 BM_PermCompress(benchmark::State &state)
 {

@@ -27,6 +27,7 @@ Capability::memoryRoot()
     c.permsField_ = compressPerms(PermSet(
         PermGlobal | PermLoad | PermStore | PermMemCap | PermStoreLocal |
         PermLoadMutable | PermLoadGlobal));
+    c.decodeFields();
     return c;
 }
 
@@ -40,6 +41,7 @@ Capability::executableRoot()
     c.permsField_ = compressPerms(PermSet(
         PermGlobal | PermExecute | PermLoad | PermMemCap | PermSystemRegs |
         PermLoadMutable | PermLoadGlobal));
+    c.decodeFields();
     return c;
 }
 
@@ -54,6 +56,7 @@ Capability::sealingRoot()
     c.bounds_ = enc.encoded;
     c.permsField_ = compressPerms(
         PermSet(PermGlobal | PermSeal | PermUnseal | PermUser0));
+    c.decodeFields();
     return c;
 }
 
@@ -70,7 +73,17 @@ Capability::fromBits(uint64_t rawBits, bool tag)
     c.bounds_.base9 = static_cast<uint16_t>(bits(meta, 9u, 9u));
     c.bounds_.top9 = static_cast<uint16_t>(bits(meta, 0u, 9u));
     c.tag_ = tag;
+    c.decodeFields();
     return c;
+}
+
+void
+Capability::decodeFields()
+{
+    const DecodedBounds decoded = decodeBounds(bounds_, address_);
+    base_ = decoded.base;
+    top_ = decoded.top;
+    perms_ = decompressPerms(permsField_);
 }
 
 uint64_t
@@ -86,50 +99,18 @@ Capability::toBits() const
     return (static_cast<uint64_t>(meta) << 32) | address_;
 }
 
-uint32_t
-Capability::base() const
-{
-    return decodeBounds(bounds_, address_).base;
-}
-
-uint64_t
-Capability::top() const
-{
-    return decodeBounds(bounds_, address_).top;
-}
-
-uint64_t
-Capability::length() const
-{
-    const auto decoded = decodeBounds(bounds_, address_);
-    return decoded.top - decoded.base;
-}
-
-bool
-Capability::inBounds(uint32_t addr, uint32_t size) const
-{
-    const auto decoded = decodeBounds(bounds_, address_);
-    const uint64_t accessTop = static_cast<uint64_t>(addr) + size;
-    return addr >= decoded.base && accessTop <= decoded.top;
-}
-
 Capability
-Capability::withAddress(uint32_t newAddress) const
+Capability::withAddressRedecoded(uint32_t newAddress) const
 {
     Capability c = *this;
     c.address_ = newAddress;
-    if (tag_ &&
-        (isSealed() ||
-         !addressPreservesBounds(bounds_, address_, newAddress))) {
+    const DecodedBounds decoded = decodeBounds(bounds_, newAddress);
+    c.base_ = decoded.base;
+    c.top_ = decoded.top;
+    if (isSealed() || decoded.base != base_ || decoded.top != top_) {
         c.tag_ = false;
     }
     return c;
-}
-
-Capability
-Capability::withAddressOffset(int64_t offset) const
-{
-    return withAddress(static_cast<uint32_t>(address_ + offset));
 }
 
 Capability
@@ -144,11 +125,9 @@ Capability::withBounds(uint64_t length, bool *exactOut) const
         return c;
     }
 
-    const auto current = decodeBounds(bounds_, address_);
     const uint32_t newBase = address_;
     const uint64_t newTop = static_cast<uint64_t>(newBase) + length;
-    if (newBase < current.base || newTop > current.top ||
-        newTop > (uint64_t{1} << 32)) {
+    if (newBase < base_ || newTop > top_ || newTop > (uint64_t{1} << 32)) {
         c.tag_ = false;
         return c;
     }
@@ -159,11 +138,14 @@ Capability::withBounds(uint64_t length, bool *exactOut) const
     }
     // Rounding can only grow the window; growth that escapes the
     // original authority must not produce a tagged capability.
-    if (enc.decoded.base < current.base || enc.decoded.top > current.top) {
+    if (enc.decoded.base < base_ || enc.decoded.top > top_) {
         c.tag_ = false;
         return c;
     }
+    // encodeBounds decodes at requestedBase, which is this address.
     c.bounds_ = enc.encoded;
+    c.base_ = enc.decoded.base;
+    c.top_ = enc.decoded.top;
     return c;
 }
 
@@ -186,7 +168,8 @@ Capability::withPermsAnd(uint16_t mask) const
         c.tag_ = false;
         return c;
     }
-    c.permsField_ = compressPerms(perms().intersect(PermSet(mask)));
+    c.permsField_ = compressPerms(perms_.intersect(PermSet(mask)));
+    c.perms_ = decompressPerms(c.permsField_);
     return c;
 }
 
@@ -204,15 +187,21 @@ Capability::attenuatedForLoad(PermSet authorityPerms) const
     if (!tag_) {
         return *this;
     }
-    Capability c = *this;
-    PermSet p = perms();
+    PermSet p = perms_;
     if (!authorityPerms.has(PermLoadGlobal)) {
         p = p.without(PermGlobal | PermLoadGlobal);
     }
     if (!authorityPerms.has(PermLoadMutable) && !p.has(PermExecute)) {
         p = p.without(PermStore | PermLoadMutable);
     }
+    if (p == perms_) {
+        // Every 6-bit field is the canonical encoding of its set, so
+        // recompressing an unchanged set would give the same field.
+        return *this;
+    }
+    Capability c = *this;
     c.permsField_ = compressPerms(p);
+    c.perms_ = decompressPerms(c.permsField_);
     return c;
 }
 

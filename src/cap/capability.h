@@ -20,6 +20,16 @@
  *   [21:18] E'4  bounds exponent
  *   [17:9]  B'9  bounds base
  *   [8:0]   T'9  bounds top
+ *
+ * Next to the packed fields every value carries its decoded bounds
+ * and permission set, tagged or not. Invariant: base()/top() equal
+ * decodeBounds(encodedBounds(), address()) and perms() equals
+ * decompressPerms(permsField()). The decode depends on the address
+ * only through which 2^(e+9) window around the base it falls in, so
+ * an address move inside [base, base + 2^(e+9)) (compared without
+ * wrapping), or any move when E = 0xF, keeps the cache; only a move
+ * out of that window re-decodes. The packed image (toBits) is the
+ * architectural value; the cache never reaches memory or snapshots.
  */
 
 #ifndef CHERIOT_CAP_CAPABILITY_H
@@ -59,20 +69,34 @@ class Capability
     /** Reconstruct a capability from its packed memory image. */
     static Capability fromBits(uint64_t bits, bool tag);
 
+    /**
+     * An integer in a capability register: untagged, null metadata,
+     * address @p value. Same value as Capability().withAddress(value),
+     * whose bounds decode to base = top = value & ~0x1ff.
+     */
+    static constexpr Capability fromInt(uint32_t value)
+    {
+        Capability c;
+        c.address_ = value;
+        c.base_ = value & ~uint32_t{0x1ff};
+        c.top_ = c.base_;
+        return c;
+    }
+
     /** Pack into the 64-bit memory image (tag carried out of band). */
     uint64_t toBits() const;
 
     /** @name Field accessors @{ */
     bool tag() const { return tag_; }
     uint32_t address() const { return address_; }
-    PermSet perms() const { return decompressPerms(permsField_); }
+    PermSet perms() const { return perms_; }
     uint8_t permsField() const { return permsField_; }
     uint8_t otype() const { return otype_; }
     bool isSealed() const { return otype_ != kOtypeUnsealed; }
     const EncodedBounds &encodedBounds() const { return bounds_; }
-    uint32_t base() const;
-    uint64_t top() const;
-    uint64_t length() const;
+    uint32_t base() const { return base_; }
+    uint64_t top() const { return top_; }
+    uint64_t length() const { return top_ - base_; }
     /** @} */
 
     /** True iff the permissions use the executable format (and thus
@@ -95,16 +119,33 @@ class Capability
     }
 
     /** @name In-bounds checks for memory access @{ */
-    bool inBounds(uint32_t addr, uint32_t size) const;
+    bool inBounds(uint32_t addr, uint32_t size) const
+    {
+        return addr >= base_ && static_cast<uint64_t>(addr) + size <= top_;
+    }
     /** @} */
 
     /** @name Guarded manipulation (monotone; may clear the tag) @{ */
 
     /** Replace the address; untag if sealed or unrepresentable. */
-    Capability withAddress(uint32_t newAddress) const;
+    Capability withAddress(uint32_t newAddress) const
+    {
+        if (!keepsDecode(address_) || !keepsDecode(newAddress)) {
+            return withAddressRedecoded(newAddress);
+        }
+        Capability c = *this;
+        c.address_ = newAddress;
+        if (isSealed()) {
+            c.tag_ = false;
+        }
+        return c;
+    }
 
     /** Add a (signed) offset to the address. */
-    Capability withAddressOffset(int64_t offset) const;
+    Capability withAddressOffset(int64_t offset) const
+    {
+        return withAddress(static_cast<uint32_t>(address_ + offset));
+    }
 
     /**
      * Narrow bounds to [address, address + length). Untag if the
@@ -149,8 +190,26 @@ class Capability
     std::string toString() const;
 
   private:
+    /** True when @p addr lies in the cached base's decode window, so
+     * decoding at @p addr is known to give the cached bounds. */
+    bool keepsDecode(uint32_t addr) const
+    {
+        return bounds_.exponent == 0xf ||
+               static_cast<uint64_t>(addr) - base_ <
+                   (uint64_t{1} << (bounds_.exponent + 9));
+    }
+
+    /** withAddress for a move that may leave the decode window. */
+    Capability withAddressRedecoded(uint32_t newAddress) const;
+
+    /** Refill the decoded cache from the packed fields. */
+    void decodeFields();
+
     uint32_t address_ = 0;
+    uint32_t base_ = 0;  ///< Cached decodeBounds(bounds_, address_).base.
+    uint64_t top_ = 0;   ///< Cached decodeBounds(bounds_, address_).top.
     EncodedBounds bounds_ = {0, 0, 0};
+    PermSet perms_;      ///< Cached decompressPerms(permsField_).
     uint8_t permsField_ = 0;
     uint8_t otype_ = 0;
     bool reserved_ = false;

@@ -250,7 +250,7 @@ permsToString(PermSet perms)
         }
     }
     if (out.empty()) {
-        out = "-";
+        return "-";
     }
     return out;
 }

@@ -312,7 +312,7 @@ TelemetryBroker::poll(rtos::Thread &thread, uint32_t subscriber,
 {
     pollHit_ = false;
     ArgVec args =
-        ArgVec::of({Capability().withAddress(subscriber)});
+        ArgVec::of({Capability::fromInt(subscriber)});
     const CallResult result = kernel_.call(thread, pollImport_, args);
     if (!result.ok() || result.value.address() != 1 || !pollHit_) {
         return false;

@@ -451,7 +451,7 @@ FlowManager::deliverBody(CompartmentContext &ctx, ArgVec &args)
         segmentsDelivered_++;
         for (const auto &consumer : consumers_) {
             ArgVec consumerArgs = ArgVec::of(
-                {payload, Capability().withAddress(len)});
+                {payload, Capability::fromInt(len)});
             const CallResult result = ctx.kernel.call(
                 ctx.thread, consumer.import, consumerArgs);
             if (!result.ok()) {

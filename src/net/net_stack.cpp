@@ -223,12 +223,12 @@ NetStack::sendMessage(rtos::Thread &thread, uint32_t dst,
                       uint32_t payloadWords, uint32_t w0, uint32_t w1,
                       uint32_t w2, uint32_t w3)
 {
-    ArgVec args = ArgVec::of({Capability().withAddress(dst),
-                              Capability().withAddress(payloadWords),
-                              Capability().withAddress(w0),
-                              Capability().withAddress(w1),
-                              Capability().withAddress(w2),
-                              Capability().withAddress(w3)});
+    ArgVec args = ArgVec::of({Capability::fromInt(dst),
+                              Capability::fromInt(payloadWords),
+                              Capability::fromInt(w0),
+                              Capability::fromInt(w1),
+                              Capability::fromInt(w2),
+                              Capability::fromInt(w3)});
     const CallResult result = kernel_.call(thread, sendImport_, args);
     return result.ok() && result.value.address() == 1;
 }
@@ -239,10 +239,10 @@ NetStack::sendUnreliable(rtos::Thread &thread, uint32_t dst,
                          uint32_t w1, uint32_t w2, uint32_t w3)
 {
     ArgVec args = ArgVec::of(
-        {Capability().withAddress(dst),
-         Capability().withAddress(payloadWords | kSendUnreliableFlag),
-         Capability().withAddress(w0), Capability().withAddress(w1),
-         Capability().withAddress(w2), Capability().withAddress(w3)});
+        {Capability::fromInt(dst),
+         Capability::fromInt(payloadWords | kSendUnreliableFlag),
+         Capability::fromInt(w0), Capability::fromInt(w1),
+         Capability::fromInt(w2), Capability::fromInt(w3)});
     const CallResult result = kernel_.call(thread, sendImport_, args);
     return result.ok() && result.value.address() == 1;
 }
@@ -304,7 +304,7 @@ NetStack::pumpBody(CompartmentContext &ctx)
             lent = lent.withPermsAnd(
                 static_cast<uint16_t>(~cap::PermGlobal));
             ArgVec fwArgs = ArgVec::of(
-                {lent, Capability().withAddress(len)});
+                {lent, Capability::fromInt(len)});
             const CallResult handled =
                 ctx.kernel.call(ctx.thread, processImport_, fwArgs);
             if (handled.ok() && handled.value.address() == 1) {
@@ -439,7 +439,7 @@ NetStack::fanOut(CompartmentContext &ctx, const Capability &payload,
     for (const auto &consumer : consumers_) {
         ArgVec consumerArgs = ArgVec::of(
             {consumer.mutates ? payload : readOnly,
-             Capability().withAddress(len)});
+             Capability::fromInt(len)});
         const CallResult result =
             ctx.kernel.call(ctx.thread, consumer.import, consumerArgs);
         if (!result.ok()) {
@@ -520,7 +520,7 @@ NetStack::processBody(CompartmentContext &ctx, ArgVec &args)
             }
             ctx.mem.storeWord(ack, ack.base() + (words - 1) * 4, ackSum);
             ArgVec txArgs = ArgVec::of(
-                {ack, Capability().withAddress(config_.ackBytes)});
+                {ack, Capability::fromInt(config_.ackBytes)});
             const CallResult sent =
                 ctx.kernel.call(ctx.thread, txImport_, txArgs);
             if (sent.ok() && sent.value.address() == 1) {
@@ -540,7 +540,7 @@ NetStack::postFrame(CompartmentContext &ctx, const Capability &buf,
                     uint32_t len)
 {
     ArgVec txArgs =
-        ArgVec::of({buf, Capability().withAddress(len)});
+        ArgVec::of({buf, Capability::fromInt(len)});
     const CallResult sent =
         ctx.kernel.call(ctx.thread, txImport_, txArgs);
     return sent.ok() && sent.value.address() == 1;

@@ -24,6 +24,7 @@
 #include "rtos/guest_context.h"
 #include "sim/csr.h"
 
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -70,7 +71,7 @@ struct CallResult
     static CallResult ofInt(uint32_t v)
     {
         CallResult r;
-        r.value = cap::Capability().withAddress(v);
+        r.value = cap::Capability::fromInt(v);
         return r;
     }
     static CallResult ofCap(const cap::Capability &c)
@@ -305,7 +306,10 @@ class Compartment
     std::string name_;
     cap::Capability codeCap_;
     cap::Capability globalsCap_;
-    std::vector<Export> exports_;
+    // A deque, not a vector: the switcher holds a reference to the
+    // running export while its entry function executes, and that
+    // function may declare further exports.
+    std::deque<Export> exports_;
     std::vector<MmioImport> mmioImports_;
     std::vector<EntryImportRecord> entryImports_;
     ErrorHandler errorHandler_;

@@ -355,8 +355,7 @@ Kernel::initHeap(alloc::TemporalMode mode, uint64_t quarantineThreshold)
              const Capability result =
                  mallocSealed(args[0], args[1].address(), &res);
              CallResult out = CallResult::ofCap(result);
-             out.second = Capability().withAddress(
-                 static_cast<uint32_t>(res));
+             out.second = Capability::fromInt(static_cast<uint32_t>(res));
              return out;
          },
          /*interruptsDisabled=*/false});
@@ -372,7 +371,7 @@ Kernel::malloc(Thread &thread, uint32_t size)
     if (allocator_ == nullptr) {
         panic("kernel: malloc before initHeap");
     }
-    ArgVec args = ArgVec::of({Capability().withAddress(size)});
+    ArgVec args = ArgVec::of({Capability::fromInt(size)});
     const CallResult result = call(thread, mallocImport_, args);
     return result.ok() ? result.value : Capability();
 }
@@ -566,7 +565,7 @@ Kernel::mallocWith(Thread &thread, const Capability &allocCap,
         panic("kernel: mallocWith before initHeap");
     }
     ArgVec args =
-        ArgVec::of({allocCap, Capability().withAddress(size)});
+        ArgVec::of({allocCap, Capability::fromInt(size)});
     const CallResult res = call(thread, mallocQuotaImport_, args);
     if (!res.ok()) {
         // The call itself failed (e.g. the allocator compartment is

@@ -49,6 +49,9 @@ readsReg(const Inst &inst, unsigned reg)
     }
 }
 
+/** The implicit almighty authority of baseline (non-CHERI) mode. */
+const Capability kBaselineMemoryRoot = Capability::memoryRoot();
+
 } // namespace
 
 void
@@ -90,7 +93,7 @@ Machine::execute(const Inst &inst, uint32_t pc)
     // Memory authorities: in baseline RV32E mode an almighty implicit
     // capability stands in for the absent checks.
     auto authority = [&]() -> Capability {
-        return cheri ? rs1 : Capability::memoryRoot().withAddress(v1);
+        return cheri ? rs1 : kBaselineMemoryRoot.withAddress(v1);
     };
 
     switch (inst.op) {

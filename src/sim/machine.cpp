@@ -135,32 +135,6 @@ Machine::heapBase() const
     return mem::kSramBase + config_.heapOffset;
 }
 
-Capability
-Machine::readReg(unsigned index) const
-{
-    if (index == 0) {
-        return Capability();
-    }
-    return regs_[index];
-}
-
-void
-Machine::writeReg(unsigned index, const Capability &value)
-{
-    if (index == 0 || index >= isa::kNumRegs) {
-        return;
-    }
-    regs_[index] = value;
-}
-
-void
-Machine::writeRegInt(unsigned index, uint32_t value)
-{
-    // Writing an integer result to a merged register file produces an
-    // untagged value whose metadata is null.
-    writeReg(index, Capability().withAddress(value));
-}
-
 void
 Machine::advance(uint64_t cycleCount, uint64_t memPortBusy)
 {

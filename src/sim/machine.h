@@ -143,9 +143,21 @@ class Machine
     explicit Machine(const MachineConfig &config);
 
     /** @name Architectural register file (c0 is hard-wired null) @{ */
-    cap::Capability readReg(unsigned index) const;
-    void writeReg(unsigned index, const cap::Capability &value);
-    void writeRegInt(unsigned index, uint32_t value);
+    cap::Capability readReg(unsigned index) const
+    {
+        return index == 0 ? cap::Capability() : regs_[index];
+    }
+    void writeReg(unsigned index, const cap::Capability &value)
+    {
+        if (index != 0 && index < isa::kNumRegs) {
+            regs_[index] = value;
+        }
+    }
+    /** Integer results land untagged with null metadata. */
+    void writeRegInt(unsigned index, uint32_t value)
+    {
+        writeReg(index, cap::Capability::fromInt(value));
+    }
     uint32_t readRegInt(unsigned index) const
     {
         return readReg(index).address();

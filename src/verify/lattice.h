@@ -95,7 +95,7 @@ struct AbstractCap
     /** An integer result: untagged, addressable value if known. */
     static AbstractCap integer(uint32_t value = 0)
     {
-        return exact(cap::Capability().withAddress(value));
+        return exact(cap::Capability::fromInt(value));
     }
 
     /** A fully unknown value. */

@@ -54,7 +54,7 @@ MicroVm::runProgram(rtos::CompartmentContext &ctx)
     // register file.
     std::vector<Capability> stack;
     auto pushInt = [&](uint32_t v) {
-        stack.push_back(Capability().withAddress(v));
+        stack.push_back(Capability::fromInt(v));
     };
     auto pop = [&]() {
         if (stack.empty()) {

@@ -128,9 +128,10 @@ TEST(Encoding, RoundTripAllShapes)
                     (static_cast<int64_t>(shape.immHi) - shape.immLo) /
                         shape.immStep +
                     1;
-                inst.imm = shape.immLo +
-                           static_cast<int32_t>(
-                               (rng.next() % span) * shape.immStep);
+                inst.imm = static_cast<int32_t>(
+                    int64_t{shape.immLo} +
+                    static_cast<int64_t>((rng.next() % span) *
+                                         shape.immStep));
             }
             if (shape.hasCsr) {
                 inst.csr = static_cast<uint16_t>(rng.below(4096));
