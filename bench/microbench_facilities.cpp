@@ -2,10 +2,11 @@
  * @file
  * Microbenchmarks of the key facilities (google-benchmark): the
  * capability codec, sealing, cross-compartment calls (± high-water
- * mark), malloc/free under each temporal mode, and revocation sweep
- * throughput. Times are host-side; the *simulated* cycle costs are
- * reported as counters so the relative costs the paper discusses are
- * visible regardless of host speed.
+ * mark), malloc/free under each temporal mode, revocation sweep
+ * throughput, and the per-machine fixed costs (construction, state
+ * digest, image save). Times are host-side; the *simulated* cycle
+ * costs are reported as counters so the relative costs the paper
+ * discusses are visible regardless of host speed.
  */
 
 #include "alloc/heap_allocator.h"
@@ -13,6 +14,7 @@
 #include "isa/assembler.h"
 #include "rtos/kernel.h"
 #include "sim/machine.h"
+#include "snapshot/snapshot.h"
 #include "util/rng.h"
 
 #include <benchmark/benchmark.h>
@@ -263,5 +265,53 @@ BM_MachineInterpreter(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * (2u << 20));
 }
 BENCHMARK(BM_MachineInterpreter);
+
+/** A CoreMark-sized machine: 256 KiB of SRAM. */
+sim::MachineConfig
+snapshotMachineConfig()
+{
+    sim::MachineConfig config;
+    config.core = sim::CoreConfig::ibex();
+    config.sramSize = 256u << 10;
+    config.heapOffset = 192u << 10;
+    config.heapSize = 32u << 10;
+    return config;
+}
+
+void
+BM_MachineConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::Machine machine(snapshotMachineConfig());
+        benchmark::DoNotOptimize(&machine);
+    }
+}
+BENCHMARK(BM_MachineConstruct);
+
+void
+BM_StateDigest(benchmark::State &state)
+{
+    const sim::Machine machine(snapshotMachineConfig());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(machine.stateDigest());
+    }
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations()) *
+        machine.machineConfig().sramSize);
+}
+BENCHMARK(BM_StateDigest);
+
+void
+BM_SaveImage(benchmark::State &state)
+{
+    const sim::Machine machine(snapshotMachineConfig());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(machine.saveImage());
+    }
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations()) *
+        machine.machineConfig().sramSize);
+}
+BENCHMARK(BM_SaveImage);
 
 } // namespace

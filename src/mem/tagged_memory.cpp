@@ -3,6 +3,7 @@
 #include "util/bits.h"
 #include "util/log.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cheriot::mem
@@ -136,6 +137,12 @@ TaggedMemory::readCap(uint32_t addr) const
 {
     const uint32_t off = offsetOf(addr, 8, 8);
     const_cast<Counter &>(capReads)++;
+    return granuleAt(off);
+}
+
+RawCapBits
+TaggedMemory::granuleAt(uint32_t off) const
+{
     uint64_t bits;
     std::memcpy(&bits, &data_[off], sizeof(bits));
     const uint8_t tags = microTags_[off / 8];
@@ -217,12 +224,30 @@ TaggedMemory::injectTagClear(uint32_t addr)
     microTags_[off / 8] = 0;
 }
 
-uint32_t
-TaggedMemory::contentsDigest() const
+std::optional<TaggedMemory::GranuleMismatch>
+TaggedMemory::firstMismatch(const TaggedMemory &other) const
 {
-    const uint32_t dataCrc =
-        snapshot::crc32(data_.data(), data_.size());
-    return snapshot::crc32(microTags_.data(), microTags_.size(), dataCrc);
+    if (other.base_ != base_ || other.size_ != size_) {
+        panic("firstMismatch: SRAM geometries differ");
+    }
+    // Block compares first, so equal memories cost two memcmps.
+    constexpr uint32_t kBlockBytes = 4096;
+    for (uint32_t block = 0; block < size_; block += kBlockBytes) {
+        const uint32_t bytes = std::min(kBlockBytes, size_ - block);
+        if (std::memcmp(&data_[block], &other.data_[block], bytes) == 0 &&
+            std::memcmp(&microTags_[block / 8], &other.microTags_[block / 8],
+                        bytes / 8) == 0) {
+            continue;
+        }
+        for (uint32_t off = block; off < block + bytes; off += 8) {
+            if (std::memcmp(&data_[off], &other.data_[off], 8) != 0 ||
+                microTags_[off / 8] != other.microTags_[off / 8]) {
+                return GranuleMismatch{base_ + off, granuleAt(off),
+                                       other.granuleAt(off)};
+            }
+        }
+    }
+    return std::nullopt;
 }
 
 } // namespace cheriot::mem

@@ -19,6 +19,7 @@
 #include "util/stats.h"
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace cheriot::mem
@@ -130,10 +131,23 @@ class TaggedMemory
         v.counter("capWrites", capWrites);
         v.counter("tagClears", tagClears);
     }
-    /** CRC-32 over contents and micro-tags only (no counters), so
-     * machines with different timing models can still be compared. */
-    uint32_t contentsDigest() const;
     /** @} */
+
+    /** A granule that differs between two memories, as each sees it. */
+    struct GranuleMismatch
+    {
+        uint32_t addr; ///< Architectural address of the granule.
+        RawCapBits mine;
+        RawCapBits theirs;
+    };
+    /**
+     * The lowest granule whose data or micro-tags differ from
+     * @p other's (same geometry), or none. Compares contents and
+     * micro-tags only, not counters, so machines with different
+     * timing models can still be compared; reads bypass the counters.
+     */
+    std::optional<GranuleMismatch>
+    firstMismatch(const TaggedMemory &other) const;
 
     StatGroup &stats() { return stats_; }
 
@@ -145,6 +159,8 @@ class TaggedMemory
 
   private:
     uint32_t offsetOf(uint32_t addr, uint32_t bytes, uint32_t align) const;
+    /** The granule at byte offset @p off, without counting a read. */
+    RawCapBits granuleAt(uint32_t off) const;
 
     uint32_t base_;
     uint32_t size_;

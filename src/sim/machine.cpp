@@ -113,7 +113,7 @@ Machine::Machine(const MachineConfig &config)
         bgRevoker_.setFaultInjector(injector_);
     }
 
-    decodeCache_.resize(config.sramSize / 4);
+    decodeCache_.reset(new DecodeSlot[config.sramSize / 4]);
     decodeValid_.resize(config.sramSize / 4, false);
 
     snapshot::registerStats(stats_, [this](auto &v) { cpuFields(v); });
@@ -509,7 +509,7 @@ Machine::decodeAt(uint32_t pc)
         // make resumed runs diverge from straight ones in the
         // serialized access counters.
         isa::DecodeError error;
-        decodeCache_[index] =
+        decodeCache_[index].inst =
             isa::decode(memory_.sram().peek32(pc), &error);
         decodeValid_[index] = true;
         decodeFills++;
@@ -518,12 +518,12 @@ Machine::decodeAt(uint32_t pc)
             // can say precisely which field was reserved/malformed.
             lastDecodeError_ = error;
         }
-    } else if (decodeCache_[index].op == isa::Op::Illegal) {
+    } else if (decodeCache_[index].inst.op == isa::Op::Illegal) {
         isa::DecodeError error;
         isa::decode(memory_.sram().peek32(pc), &error);
         lastDecodeError_ = error;
     }
-    return decodeCache_[index];
+    return decodeCache_[index].inst;
 }
 
 RunResult
@@ -780,7 +780,18 @@ Machine::restoreImage(const snapshot::SnapshotImage &image)
 uint32_t
 Machine::stateDigest() const
 {
-    return saveImage().digest();
+    // The digest of the image save() would write, without building
+    // it: each section streams through a digesting Writer, and the
+    // section CRCs fold into the image CRC.
+    std::vector<snapshot::SectionEntry> manifest;
+    const_cast<Machine *>(this)->sections(
+        [&manifest](const char *name, const auto &fields) {
+            snapshot::Writer out = snapshot::Writer::digesting();
+            out(fields);
+            manifest.push_back(
+                {name, static_cast<uint32_t>(out.size()), out.crc()});
+        });
+    return snapshot::imageCrc(manifest);
 }
 
 } // namespace cheriot::sim

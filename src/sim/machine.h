@@ -285,7 +285,9 @@ class Machine
     /** Convenience wrappers over a whole image. */
     snapshot::SnapshotImage saveImage() const;
     bool restoreImage(const snapshot::SnapshotImage &image);
-    /** CRC-32 of the canonical image: equal digests ⇔ equal state. */
+    /** CRC-32 of the canonical image: equal digests ⇔ equal state.
+     * Equals the digest() of saveImage(), but streams the CRC without
+     * building the image. */
     uint32_t stateDigest() const;
     /** @} */
 
@@ -369,8 +371,16 @@ class Machine
      * load-to-use stall model); kNumRegs means none. */
     unsigned pendingLoadReg_ = isa::kNumRegs;
 
-    /** Lazily filled decode cache over SRAM. */
-    std::vector<isa::Inst> decodeCache_;
+    /** A decode-cache entry whose constructor writes nothing, so
+     * constructing the cache touches none of its storage. */
+    union DecodeSlot
+    {
+        DecodeSlot() {}
+        isa::Inst inst;
+    };
+    /** Lazily filled decode cache over SRAM, one slot per word; a slot
+     * is read only while its decodeValid_ bit is set. */
+    std::unique_ptr<DecodeSlot[]> decodeCache_;
     std::vector<bool> decodeValid_;
 
     TraceHook traceHook_;

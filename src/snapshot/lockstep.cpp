@@ -61,21 +61,43 @@ LockstepRunner::compareArchitecturalState()
                          " B=" + describeCap(b_.pcc()));
         return false;
     }
-    sim::CsrFile &ca = a_.csrs();
-    sim::CsrFile &cb = b_.csrs();
-    if (ca.mie != cb.mie || ca.mpie != cb.mpie ||
-        ca.mcause != cb.mcause || ca.mtval != cb.mtval ||
-        ca.mshwm != cb.mshwm || ca.mshwmb != cb.mshwmb) {
-        recordDivergence("csr state differs (mcause A=" +
-                         std::to_string(ca.mcause) +
-                         " B=" + std::to_string(cb.mcause) + ")");
-        return false;
+    const sim::CsrFile &ca = a_.csrs();
+    const sim::CsrFile &cb = b_.csrs();
+    const struct
+    {
+        const char *name;
+        uint32_t a, b;
+    } scalars[] = {
+        {"mie", ca.mie, cb.mie},          {"mpie", ca.mpie, cb.mpie},
+        {"mcause", ca.mcause, cb.mcause}, {"mtval", ca.mtval, cb.mtval},
+        {"mshwm", ca.mshwm, cb.mshwm},    {"mshwmb", ca.mshwmb, cb.mshwmb},
+    };
+    for (const auto &csr : scalars) {
+        if (csr.a != csr.b) {
+            char buffer[64];
+            std::snprintf(buffer, sizeof(buffer), "%s: A=0x%x B=0x%x",
+                          csr.name, csr.a, csr.b);
+            recordDivergence(buffer);
+            return false;
+        }
     }
-    if (!sameCap(ca.mtcc, cb.mtcc) || !sameCap(ca.mtdc, cb.mtdc) ||
-        !sameCap(ca.mscratchc, cb.mscratchc) ||
-        !sameCap(ca.mepcc, cb.mepcc)) {
-        recordDivergence("special capability registers differ");
-        return false;
+    const struct
+    {
+        const char *name;
+        const cap::Capability &a, &b;
+    } scrs[] = {
+        {"mtcc", ca.mtcc, cb.mtcc},
+        {"mtdc", ca.mtdc, cb.mtdc},
+        {"mscratchc", ca.mscratchc, cb.mscratchc},
+        {"mepcc", ca.mepcc, cb.mepcc},
+    };
+    for (const auto &scr : scrs) {
+        if (!sameCap(scr.a, scr.b)) {
+            recordDivergence(std::string(scr.name) + ": A=" +
+                             describeCap(scr.a) + " B=" +
+                             describeCap(scr.b));
+            return false;
+        }
     }
     if (a_.halted() != b_.halted()) {
         recordDivergence(std::string("halt state: A=") +
@@ -89,13 +111,21 @@ LockstepRunner::compareArchitecturalState()
 bool
 LockstepRunner::compareMemory()
 {
-    const uint32_t da = a_.memory().sram().contentsDigest();
-    const uint32_t db = b_.memory().sram().contentsDigest();
-    if (da != db) {
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer),
-                      "memory digest: A=%08x B=%08x", da, db);
-        recordDivergence(buffer);
+    const auto mismatch =
+        a_.memory().sram().firstMismatch(b_.memory().sram());
+    if (mismatch) {
+        const auto side = [](const mem::RawCapBits &g) {
+            char buffer[48];
+            std::snprintf(buffer, sizeof(buffer), "%016llx micro-tags=%d%d",
+                          static_cast<unsigned long long>(g.bits),
+                          g.halfTag1 ? 1 : 0, g.halfTag0 ? 1 : 0);
+            return std::string(buffer);
+        };
+        char address[40];
+        std::snprintf(address, sizeof(address), "memory granule 0x%08x: ",
+                      mismatch->addr);
+        recordDivergence(address + ("A=" + side(mismatch->mine)) +
+                         " B=" + side(mismatch->theirs));
         return false;
     }
     return true;

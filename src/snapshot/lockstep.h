@@ -10,9 +10,11 @@
  * status. Cycle counts are deliberately excluded so that two timing
  * models (Flute-config vs Ibex-config) can run in lockstep over a
  * cycle-independent program; memory contents and micro-tags are
- * compared by digest at a configurable instruction interval and at
- * the end. Both machines carry a RingTracer, so a divergence report
- * includes the recent instruction window on each side.
+ * compared at a configurable instruction interval and at the end.
+ * A report names what differs: the register, the CSR, or the first
+ * differing granule with both sides' data and micro-tags. Both
+ * machines carry a RingTracer, so a divergence report includes the
+ * recent instruction window on each side.
  */
 
 #ifndef CHERIOT_SNAPSHOT_LOCKSTEP_H
@@ -36,7 +38,7 @@ struct LockstepReport
     /** Paired steps executed when the divergence was detected
      * (1-based: N means the N-th instruction diverged). */
     uint64_t divergenceStep = 0;
-    /** What differed (register, PCC, CSR, memory digest, halt). */
+    /** What differed (register, PCC, CSR, memory granule, halt). */
     std::string detail;
     /** Recent instruction windows at the point of divergence. */
     std::vector<std::string> traceA;
@@ -58,7 +60,7 @@ class LockstepRunner
     /**
      * Run until both machines halt, divergence, or @p maxInstructions
      * paired steps. @p memoryCheckInterval is the instruction period
-     * of the full memory-digest compare (0 disables periodic checks;
+     * of the full memory compare (0 disables periodic checks;
      * one is always performed at the end).
      */
     const LockstepReport &run(uint64_t maxInstructions,

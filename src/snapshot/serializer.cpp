@@ -67,6 +67,57 @@ crc32(const uint8_t *data, size_t size, uint32_t seed)
     return c ^ 0xffffffffu;
 }
 
+namespace
+{
+
+/** a(x)·b(x) mod P(x), both reflected (x^0 in the top bit). */
+uint32_t
+multiplyModP(uint32_t a, uint32_t b)
+{
+    uint32_t product = 0;
+    for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if ((a & m) != 0) {
+            product ^= b;
+        }
+        b = (b & 1) ? 0xedb88320u ^ (b >> 1) : b >> 1;
+    }
+    return product;
+}
+
+/** x^(8n) mod P(x): the shift that appends n zero bytes. */
+uint32_t
+shiftBytesModP(size_t n)
+{
+    // powers[k] = x^(2^k · 8) mod P(x).
+    static const std::array<uint32_t, 64> powers = [] {
+        std::array<uint32_t, 64> p{};
+        uint32_t x = 1u << 30; // x^1
+        for (int k = 0; k < 3; ++k) {
+            x = multiplyModP(x, x);
+        }
+        for (uint32_t &power : p) {
+            power = x;
+            x = multiplyModP(x, x);
+        }
+        return p;
+    }();
+    uint32_t shift = 1u << 31; // x^0
+    for (size_t k = 0; n != 0; n >>= 1, ++k) {
+        if ((n & 1) != 0) {
+            shift = multiplyModP(powers[k], shift);
+        }
+    }
+    return shift;
+}
+
+} // namespace
+
+uint32_t
+crc32Combine(uint32_t crcA, uint32_t crcB, size_t lengthB)
+{
+    return multiplyModP(shiftBytesModP(lengthB), crcA) ^ crcB;
+}
+
 void
 Writer::u16(uint16_t value)
 {
@@ -91,6 +142,12 @@ Writer::u64(uint64_t value)
 void
 Writer::bytes(const uint8_t *data, size_t size)
 {
+    if (digesting_) {
+        foldedCrc_ = crc32(data, size, crc());
+        foldedSize_ += buffer_.size() + size;
+        buffer_.clear();
+        return;
+    }
     buffer_.insert(buffer_.end(), data, data + size);
 }
 

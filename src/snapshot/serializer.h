@@ -49,6 +49,13 @@ namespace cheriot::snapshot
 /** CRC-32 (IEEE, reflected) over @p size bytes. */
 uint32_t crc32(const uint8_t *data, size_t size, uint32_t seed = 0);
 
+/**
+ * CRC-32 of A‖B from crc32(A) = @p crcA, crc32(B) = @p crcB and
+ * |B| = @p lengthB, without reading either: zlib's GF(2) shift of
+ * @p crcA past |B| zero bytes, O(log |B|).
+ */
+uint32_t crc32Combine(uint32_t crcA, uint32_t crcB, size_t lengthB);
+
 class Writer;
 
 /** @name Field adaptors for fields() declarations @{ */
@@ -163,6 +170,16 @@ class Writer
   public:
     static constexpr bool kRestoring = false;
 
+    /** A Writer that keeps no copy of byte blocks (SRAM contents,
+     * micro-tags, strings): each folds straight into crc(), and
+     * buffer() holds only the bytes written since the last block. */
+    static Writer digesting()
+    {
+        Writer w;
+        w.digesting_ = true;
+        return w;
+    }
+
     void u8(uint8_t value) { buffer_.push_back(value); }
     void u16(uint16_t value);
     void u32(uint32_t value);
@@ -212,7 +229,14 @@ class Writer
 
     const std::vector<uint8_t> &buffer() const { return buffer_; }
     std::vector<uint8_t> take() { return std::move(buffer_); }
-    size_t size() const { return buffer_.size(); }
+    void reserve(size_t size) { buffer_.reserve(size); }
+    /** Bytes written so far, folded ones included. */
+    size_t size() const { return foldedSize_ + buffer_.size(); }
+    /** CRC-32 of every byte written so far. */
+    uint32_t crc() const
+    {
+        return crc32(buffer_.data(), buffer_.size(), foldedCrc_);
+    }
 
   private:
     template <class T>
@@ -221,6 +245,10 @@ class Writer
     void putElements(const C &seq);
 
     std::vector<uint8_t> buffer_;
+    bool digesting_ = false;
+    /** CRC-32 and length of the bytes already folded out of buffer_. */
+    uint32_t foldedCrc_ = 0;
+    size_t foldedSize_ = 0;
 };
 
 /**

@@ -6,6 +6,42 @@
 namespace cheriot::snapshot
 {
 
+namespace
+{
+
+void
+putHeader(Writer &out, size_t sectionCount)
+{
+    out.u32(kSnapshotMagic);
+    out.u32(kSnapshotVersion);
+    out.u32(static_cast<uint32_t>(sectionCount));
+}
+
+void
+putEntry(Writer &out, const SectionEntry &entry)
+{
+    out.str(entry.name);
+    out.u32(entry.size);
+    out.u32(entry.crc);
+}
+
+} // namespace
+
+uint32_t
+imageCrc(const std::vector<SectionEntry> &sections)
+{
+    Writer header;
+    putHeader(header, sections.size());
+    uint32_t crc = header.crc();
+    for (const SectionEntry &entry : sections) {
+        Writer manifest;
+        putEntry(manifest, entry);
+        crc = crc32(manifest.buffer().data(), manifest.size(), crc);
+        crc = crc32Combine(crc, entry.crc, entry.size);
+    }
+    return crc;
+}
+
 Writer &
 SnapshotWriter::beginSection(const std::string &name)
 {
@@ -24,7 +60,9 @@ SnapshotWriter::endSection()
     if (!open_) {
         return;
     }
-    sections_.push_back({currentName_, current_.take()});
+    manifest_.push_back({currentName_, static_cast<uint32_t>(current_.size()),
+                         current_.crc()});
+    payloads_.push_back(current_.take());
     open_ = false;
 }
 
@@ -32,21 +70,22 @@ SnapshotImage
 SnapshotWriter::finish()
 {
     endSection();
-    Writer out;
-    out.u32(kSnapshotMagic);
-    out.u32(kSnapshotVersion);
-    out.u32(static_cast<uint32_t>(sections_.size()));
-    for (const Section &section : sections_) {
-        out.str(section.name);
-        out.u32(static_cast<uint32_t>(section.payload.size()));
-        out.u32(crc32(section.payload.data(), section.payload.size()));
-        out.bytes(section.payload.data(), section.payload.size());
+    size_t imageSize = 12 + 4; // Header and trailer.
+    for (size_t i = 0; i < manifest_.size(); ++i) {
+        imageSize += 4 + manifest_[i].name.size() + 8 + payloads_[i].size();
     }
-    const uint32_t imageCrc = crc32(out.buffer().data(), out.size());
-    out.u32(imageCrc);
+    Writer out;
+    out.reserve(imageSize);
+    putHeader(out, manifest_.size());
+    for (size_t i = 0; i < manifest_.size(); ++i) {
+        putEntry(out, manifest_[i]);
+        out.bytes(payloads_[i].data(), payloads_[i].size());
+    }
+    out.u32(imageCrc(manifest_));
     SnapshotImage image;
     image.data = out.take();
-    sections_.clear();
+    manifest_.clear();
+    payloads_.clear();
     return image;
 }
 

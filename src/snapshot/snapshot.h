@@ -76,6 +76,22 @@ struct SnapshotImage
     }
 };
 
+/** A section as the image manifest records it. */
+struct SectionEntry
+{
+    std::string name;
+    uint32_t size; ///< Payload bytes.
+    uint32_t crc;  ///< CRC-32 of the payload.
+};
+
+/**
+ * The whole-image CRC (the trailer, and so SnapshotImage::digest()) of
+ * an image holding @p sections in order. The header and manifest bytes
+ * are CRC'd and each payload is folded in by its own CRC
+ * (crc32Combine), so no payload byte is read.
+ */
+uint32_t imageCrc(const std::vector<SectionEntry> &sections);
+
 /** Builds an image section by section. */
 class SnapshotWriter
 {
@@ -98,13 +114,8 @@ class SnapshotWriter
     SnapshotImage finish();
 
   private:
-    struct Section
-    {
-        std::string name;
-        std::vector<uint8_t> payload;
-    };
-
-    std::vector<Section> sections_;
+    std::vector<SectionEntry> manifest_;
+    std::vector<std::vector<uint8_t>> payloads_;
     Writer current_;
     std::string currentName_;
     bool open_ = false;

@@ -2,8 +2,8 @@
  * @file
  * The snapshot CRC-32 folds eight bytes per step; these tests hold it
  * to the plain byte-at-a-time definition (kept here only as the
- * oracle) across lengths, unaligned starts and chained seeds — the
- * way TaggedMemory chains its data CRC into its micro-tag CRC.
+ * oracle) across lengths, unaligned starts and chained seeds, and
+ * hold crc32Combine to the one-shot CRC of the concatenation.
  */
 
 #include "snapshot/serializer.h"
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -95,6 +96,63 @@ TEST(Crc32, ChainingEqualsOneShot)
                   whole)
             << "split " << split;
     }
+}
+
+/** crc32Combine(crc32(A), crc32(B), |B|) == crc32(A‖B), split at
+ * @p split. */
+void
+expectCombineMatches(const std::vector<uint8_t> &buffer, size_t split)
+{
+    const size_t lengthB = buffer.size() - split;
+    const uint32_t crcA = crc32(buffer.data(), split);
+    const uint32_t crcB = crc32(buffer.data() + split, lengthB);
+    EXPECT_EQ(crc32Combine(crcA, crcB, lengthB),
+              crc32(buffer.data(), buffer.size()))
+        << "|A| " << split << " |B| " << lengthB;
+}
+
+TEST(Crc32Combine, MatchesConcatenationAtEdgeLengths)
+{
+    for (const size_t lengthB : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                                 size_t{9}, size_t{4096}}) {
+        for (const size_t lengthA : {size_t{0}, size_t{1}, size_t{13}}) {
+            expectCombineMatches(
+                seededBytes(lengthA + lengthB, lengthA * 7919 + lengthB),
+                lengthA);
+        }
+    }
+}
+
+TEST(Crc32Combine, MatchesConcatenationAtSeededSplits)
+{
+    for (uint64_t round = 0; round < 64; ++round) {
+        Rng rng(round + 500);
+        const std::vector<uint8_t> buffer =
+            seededBytes(rng.below(5000), round);
+        const size_t split =
+            rng.below(static_cast<uint32_t>(buffer.size()) + 1);
+        expectCombineMatches(buffer, split);
+    }
+}
+
+TEST(Crc32Combine, LargeBufferFoldsFromPieces)
+{
+    // The size of an SRAM payload: fold 300 KiB back together from
+    // seeded pieces, left to right, as the image CRC folds sections.
+    const std::vector<uint8_t> buffer = seededBytes(300u << 10, 99);
+    expectCombineMatches(buffer, 4096);
+    expectCombineMatches(buffer, buffer.size() - 9);
+
+    Rng rng(17);
+    uint32_t folded = 0;
+    for (size_t offset = 0; offset < buffer.size();) {
+        const size_t piece =
+            std::min<size_t>(rng.below(40000), buffer.size() - offset);
+        folded = crc32Combine(folded, crc32(buffer.data() + offset, piece),
+                              piece);
+        offset += piece;
+    }
+    EXPECT_EQ(folded, crc32(buffer.data(), buffer.size()));
 }
 
 } // namespace

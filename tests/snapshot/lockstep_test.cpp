@@ -141,7 +141,7 @@ TEST(Lockstep, SeededMemoryDivergenceIsCaughtByDigestCheck)
 
     // Corrupt a word in B's memory that the program never rereads:
     // invisible to the architectural compare, caught by the periodic
-    // memory digest.
+    // memory compare.
     const cap::Capability root = b->readReg(A0);
     ASSERT_EQ(b->storeData(root, kEntry + 0x8000, 4, 0x42424242, false),
               sim::TrapCause::None);
@@ -150,6 +150,83 @@ TEST(Lockstep, SeededMemoryDivergenceIsCaughtByDigestCheck)
     EXPECT_TRUE(report.diverged);
     EXPECT_NE(report.detail.find("memory"), std::string::npos)
         << report.detail;
+}
+
+TEST(Lockstep, FlippedGranuleIsReportedByAddressDataAndTags)
+{
+    const auto program = sumProgram(2000);
+    const auto a = makeMachine(sim::CoreConfig::ibex(), program);
+    const auto b = makeMachine(sim::CoreConfig::ibex(), program);
+
+    // Two granules the program never touches; the first holds the
+    // same tagged capability on both sides.
+    constexpr uint32_t kTagged = kEntry + 0x8000;
+    constexpr uint32_t kFlipped = kEntry + 0x9008;
+    for (sim::Machine *m : {a.get(), b.get()}) {
+        const cap::Capability root = m->readReg(A0);
+        ASSERT_EQ(m->storeCap(root, kTagged, root, false),
+                  sim::TrapCause::None);
+    }
+
+    LockstepRunner runner(*a, *b);
+    for (uint64_t n = 0; n < 50; ++n) {
+        ASSERT_TRUE(runner.stepBoth());
+    }
+    // Bit 36 of one granule: the high word 0 becomes 0x10.
+    b->memory().sram().injectDataFlip(kFlipped, 36, false);
+    const LockstepReport &report = runner.run(1u << 20, 64);
+    ASSERT_TRUE(report.diverged);
+    EXPECT_EQ(report.detail,
+              "memory granule 0x2000a008: A=0000000000000000 micro-tags=00 "
+              "B=0000001000000000 micro-tags=00");
+    EXPECT_EQ(report.divergenceStep, 64u);
+}
+
+TEST(Lockstep, ClearedTagIsReportedAtTheLowestGranule)
+{
+    const auto program = sumProgram(50);
+    const auto a = makeMachine(sim::CoreConfig::ibex(), program);
+    const auto b = makeMachine(sim::CoreConfig::ibex(), program);
+    constexpr uint32_t kTagged = kEntry + 0x8000;
+    for (sim::Machine *m : {a.get(), b.get()}) {
+        const cap::Capability root = m->readReg(A0);
+        ASSERT_EQ(m->storeCap(root, kTagged, root, false),
+                  sim::TrapCause::None);
+    }
+    // Two differences: the report names the lower one.
+    b->memory().sram().injectDataFlip(kTagged + 0x100, 0, false);
+    b->memory().sram().injectTagClear(kTagged);
+
+    LockstepRunner runner(*a, *b);
+    const LockstepReport &report = runner.run(1u << 20, 0);
+    ASSERT_TRUE(report.diverged);
+    EXPECT_EQ(report.detail.rfind("memory granule 0x20009000: A=", 0), 0u)
+        << report.detail;
+    EXPECT_NE(report.detail.find("micro-tags=11 B="), std::string::npos)
+        << report.detail;
+    EXPECT_NE(report.detail.find("micro-tags=00"), std::string::npos)
+        << report.detail;
+}
+
+TEST(Lockstep, CsrDivergenceNamesTheCsr)
+{
+    const auto program = sumProgram(100);
+    const auto a = makeMachine(sim::CoreConfig::ibex(), program);
+    const auto b = makeMachine(sim::CoreConfig::ibex(), program);
+
+    LockstepRunner runner(*a, *b);
+    ASSERT_TRUE(runner.stepBoth());
+    b->csrs().mtval = 0x1234;
+    EXPECT_FALSE(runner.stepBoth());
+    EXPECT_EQ(runner.report().detail, "mtval: A=0x0 B=0x1234");
+
+    const auto c = makeMachine(sim::CoreConfig::ibex(), program);
+    const auto d = makeMachine(sim::CoreConfig::ibex(), program);
+    LockstepRunner scrRunner(*c, *d);
+    d->csrs().mscratchc = d->readReg(A0);
+    EXPECT_FALSE(scrRunner.stepBoth());
+    EXPECT_EQ(scrRunner.report().detail.rfind("mscratchc: A=", 0), 0u)
+        << scrRunner.report().detail;
 }
 
 TEST(Lockstep, HaltMismatchIsADivergence)
